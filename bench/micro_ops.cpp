@@ -1,7 +1,9 @@
 // google-benchmark micro suite: costs of the cooperative primitives, chunk
 // kernels and traversal building blocks in the simulator.  These measure
 // *simulator* speed (host nanoseconds), useful for keeping the simulation
-// itself fast; the modeled-GPU numbers come from the fig_*/table_* benches.
+// itself fast; the modeled-GPU numbers come from the bench_runner campaigns
+// and the table_* benches.  The metrics / flight-recorder / lease A/B arms
+// are timed by the micro_ops and persist_overhead campaigns.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -9,10 +11,7 @@
 #include "baseline/mc_skiplist.h"
 #include "core/gfsl.h"
 #include "device/device_memory.h"
-#include "obs/metrics.h"
-#include "sched/lease.h"
 #include "simt/team.h"
-#include "simt/trace.h"
 
 namespace {
 
@@ -39,22 +38,19 @@ void BM_Shfl(benchmark::State& state) {
 BENCHMARK(BM_Shfl);
 
 struct GfslBench {
-  GfslBench(int team_size, Key prefill, bool with_leases = false,
-            bool with_epochs = false)
+  GfslBench(int team_size, Key prefill, bool with_epochs = false)
       : team(team_size, 0, 1) {
     core::GfslConfig cfg;
     cfg.team_size = team_size;
     cfg.pool_chunks = 1u << 16;
-    if (with_leases) leases = std::make_unique<sched::LeaseTable>();
     if (with_epochs) epochs = std::make_unique<device::EpochManager>();
-    sl = std::make_unique<core::Gfsl>(cfg, &mem, nullptr, leases.get(),
+    sl = std::make_unique<core::Gfsl>(cfg, &mem, nullptr, nullptr,
                                       epochs.get());
     std::vector<std::pair<Key, Value>> pairs;
     for (Key k = 1; k <= prefill; ++k) pairs.emplace_back(k * 2, k);
     sl->bulk_load(pairs);
   }
   device::DeviceMemory mem;
-  std::unique_ptr<sched::LeaseTable> leases;
   std::unique_ptr<device::EpochManager> epochs;
   simt::Team team;
   std::unique_ptr<core::Gfsl> sl;
@@ -81,99 +77,13 @@ void BM_GfslInsertErase(benchmark::State& state) {
 }
 BENCHMARK(BM_GfslInsertErase);
 
-// A/B partners for the two benchmarks above: identical loops with a metrics
-// shard attached.  The deltas bound the telemetry hot-path cost; the
-// unattached versions double as the disabled-path (null-pointer test only)
-// regression check.
-void BM_GfslContainsWithMetrics(benchmark::State& state) {
-  GfslBench b(static_cast<int>(state.range(0)), 10'000);
-  obs::MetricsRegistry reg(1);
-  b.team.set_metrics(&reg.shard(0));
-  Key k = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
-    k = (k % 20'000) + 1;
-  }
-}
-BENCHMARK(BM_GfslContainsWithMetrics)->Arg(16)->Arg(32);
-
-void BM_GfslInsertEraseWithMetrics(benchmark::State& state) {
-  GfslBench b(32, 10'000);
-  obs::MetricsRegistry reg(1);
-  b.team.set_metrics(&reg.shard(0));
-  Key k = 50'001;
-  for (auto _ : state) {
-    b.sl->insert(b.team, k, 0);
-    b.sl->erase(b.team, k);
-    ++k;
-  }
-}
-BENCHMARK(BM_GfslInsertEraseWithMetrics);
-
-// A/B partners with the flight recorder armed: a clockless TeamTrace ring
-// (timestamps disabled — no steady_clock read per record) attached to the
-// team, as the postmortem dump-on-anomaly path keeps it on every run.  The
-// delta against the detached loops is the always-armed recorder cost, which
-// must stay within noise (a ring store is a few arithmetic ops + one array
-// write; the seq counter replaces the clock).
-void BM_GfslContainsWithFlightRecorder(benchmark::State& state) {
-  GfslBench b(static_cast<int>(state.range(0)), 10'000);
-  simt::TeamTrace ring(256, /*timestamps=*/false);
-  b.team.set_trace(&ring);
-  Key k = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
-    k = (k % 20'000) + 1;
-  }
-}
-BENCHMARK(BM_GfslContainsWithFlightRecorder)->Arg(16)->Arg(32);
-
-void BM_GfslInsertEraseWithFlightRecorder(benchmark::State& state) {
-  GfslBench b(32, 10'000);
-  simt::TeamTrace ring(256, /*timestamps=*/false);
-  b.team.set_trace(&ring);
-  Key k = 50'001;
-  for (auto _ : state) {
-    b.sl->insert(b.team, k, 0);
-    b.sl->erase(b.team, k);
-    ++k;
-  }
-}
-BENCHMARK(BM_GfslInsertEraseWithFlightRecorder);
-
-// A/B partner for BM_GfslInsertErase with crash tolerance armed: every lock
-// acquisition stamps a lease word and every mutation span publishes an
-// intent descriptor.  The delta against the lease-less loop above is the
-// fault-free overhead of the whole recovery layer (uncontended, the lease
-// adds one relaxed load to try_lock plus the intent's handful of stores).
-void BM_GfslInsertEraseWithLeases(benchmark::State& state) {
-  GfslBench b(32, 10'000, /*with_leases=*/true);
-  Key k = 50'001;
-  for (auto _ : state) {
-    b.sl->insert(b.team, k, 0);
-    b.sl->erase(b.team, k);
-    ++k;
-  }
-}
-BENCHMARK(BM_GfslInsertEraseWithLeases);
-
-void BM_GfslContainsWithLeases(benchmark::State& state) {
-  GfslBench b(static_cast<int>(state.range(0)), 10'000, /*with_leases=*/true);
-  Key k = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
-    k = (k % 20'000) + 1;
-  }
-}
-BENCHMARK(BM_GfslContainsWithLeases)->Arg(16)->Arg(32);
-
 // A/B partners with epoch reclamation attached: every op pins/unpins an
 // epoch slot, traversal reads verify generation stamps, and erase-side
 // merges retire chunks to limbo.  The delta against the detached loops is
 // the fault-free EBR overhead (DESIGN.md §9 budgets it within noise for
 // reads and a few percent for updates).
 void BM_GfslInsertEraseWithEpochs(benchmark::State& state) {
-  GfslBench b(32, 10'000, /*with_leases=*/false, /*with_epochs=*/true);
+  GfslBench b(32, 10'000, /*with_epochs=*/true);
   Key k = 50'001;
   for (auto _ : state) {
     b.sl->insert(b.team, k, 0);
@@ -185,7 +95,7 @@ BENCHMARK(BM_GfslInsertEraseWithEpochs);
 
 void BM_GfslContainsWithEpochs(benchmark::State& state) {
   GfslBench b(static_cast<int>(state.range(0)), 10'000,
-              /*with_leases=*/false, /*with_epochs=*/true);
+              /*with_epochs=*/true);
   Key k = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(b.sl->contains(b.team, k));

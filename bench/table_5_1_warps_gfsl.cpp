@@ -6,23 +6,27 @@
 // throughput row feeds the measured simulator events through the cost model
 // under each launch configuration.  Paper reference values are printed in
 // the adjacent columns.
-#include "bench_common.h"
+#include <cstdio>
+#include <iostream>
 
+#include "common/env.h"
+#include "harness/campaign.h"
+#include "harness/report.h"
 #include "model/occupancy.h"
 
 using namespace gfsl;
-using namespace gfsl::bench;
 
 int main() {
   const Scale sc = Scale::from_env();
-  print_scale_banner(sc);
+  harness::print_scale_banner(sc);
   const std::uint64_t range = std::min<std::uint64_t>(1'000'000, sc.max_range);
   std::printf("# Table 5.1: GFSL, mix [10,10,80], range %s\n\n",
               harness::fmt_range(range).c_str());
 
   // One measured run; the launch configuration only changes the model side.
-  auto wl = workload(harness::kMix_10_10_80, range, sc.ops, sc.seed);
-  const auto setup = setup_from_scale(sc);
+  auto wl = harness::make_workload(harness::kMix_10_10_80, range, sc.ops,
+                                   sc.seed);
+  const auto setup = harness::setup_from_scale(sc);
   const auto measured = harness::measure_gfsl(wl, setup);
 
   const model::Occupancy occ_calc;

@@ -4,22 +4,26 @@
 // to reproduce: throughput "varies very little, regardless of the number of
 // warps launched" because M&C is memory-dependence bound, and spill stays
 // ~23-25% everywhere due to the thread-local path arrays.
-#include "bench_common.h"
+#include <cstdio>
+#include <iostream>
 
+#include "common/env.h"
+#include "harness/campaign.h"
+#include "harness/report.h"
 #include "model/occupancy.h"
 
 using namespace gfsl;
-using namespace gfsl::bench;
 
 int main() {
   const Scale sc = Scale::from_env();
-  print_scale_banner(sc);
+  harness::print_scale_banner(sc);
   const std::uint64_t range = std::min<std::uint64_t>(1'000'000, sc.max_range);
   std::printf("# Table 5.2: M&C, mix [10,10,80], range %s\n\n",
               harness::fmt_range(range).c_str());
 
-  auto wl = workload(harness::kMix_10_10_80, range, sc.ops, sc.seed);
-  const auto setup = setup_from_scale(sc);
+  auto wl = harness::make_workload(harness::kMix_10_10_80, range, sc.ops,
+                                   sc.seed);
+  const auto setup = harness::setup_from_scale(sc);
   const auto measured = harness::measure_mc(wl, setup);
 
   const model::Occupancy occ_calc;

@@ -1,5 +1,6 @@
 #include "core/integrity.h"
 
+#include <bit>
 #include <vector>
 
 namespace gfsl::core {
@@ -35,18 +36,14 @@ std::uint32_t crc32c(const std::uint64_t* words, std::size_t count) {
   return c ^ 0xffffffffu;
 }
 
-constexpr std::uint64_t rotl64(std::uint64_t v, int s) {
-  return (v << s) | (v >> (64 - s));
-}
-
 /// Position-salted XOR fold: each word is rotated by its slot index before
 /// folding, so two swapped entries (which a plain XOR cannot see) change the
 /// digest; the 64->32 fold keeps both halves contributing.
 std::uint32_t xor_fold(const std::uint64_t* words, std::size_t count) {
   std::uint64_t h = 0x9e3779b97f4a7c15ull;
   for (std::size_t i = 0; i < count; ++i) {
-    h ^= rotl64(words[i] + 0x165667b19e3779f9ull * (i + 1),
-                static_cast<int>((i * 7 + 1) & 63));
+    h ^= std::rotl(words[i] + 0x165667b19e3779f9ull * (i + 1),
+                   static_cast<int>((i * 7 + 1) & 63));
   }
   return static_cast<std::uint32_t>(h ^ (h >> 32));
 }

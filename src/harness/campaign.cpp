@@ -3,12 +3,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <thread>
+
+#include <unistd.h>
 
 #include "common/random.h"
 #include "core/gfsl.h"
@@ -544,153 +545,54 @@ BenchReport run_steady_state_churn(const CampaignOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
-// Host micro suite — simulator-speed loops with the observability layers
-// detached / metrics-attached / flight-recorder-armed.  Host nanoseconds, so
-// nothing here gates; the A/B columns bound the always-armed cost of each
-// layer (the flight recorder must stay within noise of detached).
+// Attach-mode overhead campaigns (micro_ops, persist_overhead,
+// integrity_overhead) — host ns/op of the same two loops on the same
+// fixture (GFSL-32, 10K prefilled keys, 2^16-chunk pool), once per attach
+// mode.  The modes are interleaved within each rep so machine drift
+// (thermal, cache pressure from neighbors) hits every arm of rep r alike.
+// Raw nanoseconds are machine-speed-bound and stay informational; a
+// campaign that gates does so on the per-rep ratios against its first mode,
+// which cancel the machine out.
 
-struct MicroFixture {
-  explicit MicroFixture(int team_size, Key prefill) : team(team_size, 0, 1) {
-    core::GfslConfig cfg;
-    cfg.team_size = team_size;
-    cfg.pool_chunks = 1u << 16;
-    sl = std::make_unique<core::Gfsl>(cfg, &mem);
-    std::vector<std::pair<Key, Value>> pairs;
-    for (Key k = 1; k <= prefill; ++k) pairs.emplace_back(k * 2, k);
-    sl->bulk_load(pairs);
-  }
-  device::DeviceMemory mem;
-  simt::Team team;
-  std::unique_ptr<core::Gfsl> sl;
+/// What an attach mode arms on the fixture (a bit set).
+enum Arm : unsigned {
+  kArmMetrics = 1u << 0,         // metrics shard on the team
+  kArmFlightRecorder = 1u << 1,  // clockless TeamTrace ring on the team
+  kArmLeases = 1u << 2,          // in-memory LeaseTable
+  kArmPersist = 1u << 3,         // file-backed PersistRegion + its LeaseTable
+  kArmCrc32c = 1u << 4,          // IntegritySidecar with CRC32C seals
+  kArmXorFold = 1u << 5,         // IntegritySidecar with xor-fold seals
 };
 
-enum class MicroMode { kDetached, kMetrics, kFlightRecorder };
+struct AttachMode {
+  std::string key;  // metric-name suffix: "contains_ns.<key>"
+  unsigned arms = 0;
+};
 
-const char* micro_mode_key(MicroMode m) {
-  switch (m) {
-    case MicroMode::kDetached: return "detached";
-    case MicroMode::kMetrics: return "metrics";
-    case MicroMode::kFlightRecorder: return "flight_recorder";
-  }
-  return "detached";
-}
+struct OverheadCampaign {
+  std::string name;
+  std::string description;
+  std::string note;        // banner detail after "(R reps x I iters; "
+  std::string acceptance;  // closing line; empty = none
+  std::vector<AttachMode> modes;  // modes[0] is the ratio base
+  /// Emit gated per-rep `<loop>_ratio.<mode>` series against modes[0].
+  bool gate_ratios = false;
+  /// Also time a quiescent crc32c scrub_pass per scanned chunk.
+  bool time_scrub = false;
+};
 
-double micro_contains_ns(MicroMode mode, std::uint64_t iters) {
-  MicroFixture f(32, 10'000);
-  obs::MetricsRegistry reg(1);
-  simt::TeamTrace ring(256, /*timestamps=*/false);
-  if (mode == MicroMode::kMetrics) f.team.set_metrics(&reg.shard(0));
-  if (mode == MicroMode::kFlightRecorder) f.team.set_trace(&ring);
-  Key k = 1;
-  bool sink = false;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    sink ^= f.sl->contains(f.team, k);
-    k = (k % 20'000) + 1;
-  }
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  if (sink) std::fputs("", stdout);  // keep the loop observable
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()) /
-         static_cast<double>(iters);
-}
-
-double micro_insert_erase_ns(MicroMode mode, std::uint64_t iters) {
-  MicroFixture f(32, 10'000);
-  obs::MetricsRegistry reg(1);
-  simt::TeamTrace ring(256, /*timestamps=*/false);
-  if (mode == MicroMode::kMetrics) f.team.set_metrics(&reg.shard(0));
-  if (mode == MicroMode::kFlightRecorder) f.team.set_trace(&ring);
-  Key k = 50'001;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    f.sl->insert(f.team, k, 0);
-    f.sl->erase(f.team, k);
-    ++k;
-  }
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  // Two structure ops per iteration.
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()) /
-         static_cast<double>(iters * 2);
-}
-
-BenchReport run_micro_ops(const CampaignOptions& opts) {
-  const Scale sc = campaign_scale(opts);
-  BenchReport report;
-  report.campaign = "micro_ops";
-  stamp_scale(report, sc, opts);
-
-  const std::uint64_t iters = opts.quick ? 20'000 : 50'000;
-  const int reps = static_cast<int>(sc.reps);
-  report.set_config("iters", std::to_string(iters));
-
-  std::printf(
-      "# micro_ops: host ns/op with observability detached / metrics shard "
-      "attached / flight recorder armed\n"
-      "# (%d reps x %llu iters; armed-but-idle flight recorder must stay "
-      "within noise of detached)\n\n",
-      reps, static_cast<unsigned long long>(iters));
-
-  const MicroMode modes[] = {MicroMode::kDetached, MicroMode::kMetrics,
-                             MicroMode::kFlightRecorder};
-  Table t({"loop", "mode", "ns/op (mean ±stddev)"});
-  for (const auto mode : modes) {
-    std::vector<double> contains_ns, ie_ns;
-    for (int r = 0; r < reps; ++r) {
-      contains_ns.push_back(micro_contains_ns(mode, iters));
-      ie_ns.push_back(micro_insert_erase_ns(mode, iters));
-    }
-    BenchMetric c;
-    c.samples = contains_ns;
-    BenchMetric ie;
-    ie.samples = ie_ns;
-    t.add_row({"contains", micro_mode_key(mode),
-               fmt_mean_stddev(c.mean(), c.stddev(), 1)});
-    t.add_row({"insert_erase", micro_mode_key(mode),
-               fmt_mean_stddev(ie.mean(), ie.stddev(), 1)});
-    add_metric(report, std::string("contains_ns.") + micro_mode_key(mode),
-               "ns", Better::kLower, false, std::move(contains_ns));
-    add_metric(report, std::string("insert_erase_ns.") + micro_mode_key(mode),
-               "ns", Better::kLower, false, std::move(ie_ns));
-  }
-  t.print(std::cout);
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// Persistence micro suite — host ns/op A/B across the durability ladder:
-// detached (no leases, no region — the seed's zero-cost path, persist_point()
-// is one pointer test), leased (lease words stamped, still in-memory), armed
-// (file-backed region, every durable transition crosses a persist barrier).
-// Raw nanoseconds are machine-speed-bound and stay informational; the gated
-// metrics are the *ratios* against detached, which cancel the machine out.
-
-enum class PersistMode { kDetached, kLeased, kArmed };
-
-const char* persist_mode_key(PersistMode m) {
-  switch (m) {
-    case PersistMode::kDetached: return "detached";
-    case PersistMode::kLeased: return "leased";
-    case PersistMode::kArmed: return "armed";
-  }
-  return "detached";
-}
-
-struct PersistFixture {
-  PersistFixture(int team_size, Key prefill, PersistMode mode,
-                 const std::string& region_path)
-      : team(team_size, 0, 1) {
+struct OverheadFixture {
+  OverheadFixture(unsigned arms, const std::string& region_path)
+      : team(32, 0, 1) {
     core::GfslConfig cfg;
-    cfg.team_size = team_size;
+    cfg.team_size = 32;
     cfg.pool_chunks = 1u << 16;
-    if (mode == PersistMode::kArmed) {
+    if (arms & kArmPersist) {
       region = std::make_unique<device::PersistRegion>(
           region_path, device::PersistRegion::Mode::kCreate,
-          device::PersistGeometry{static_cast<std::uint32_t>(team_size),
-                                  cfg.pool_chunks});
+          device::PersistGeometry{32, cfg.pool_chunks});
     }
-    if (mode != PersistMode::kDetached) {
+    if (arms & (kArmLeases | kArmPersist)) {
       leases = std::make_unique<sched::LeaseTable>();
       if (region) {
         leases->attach(
@@ -698,22 +600,40 @@ struct PersistFixture {
             /*adopt=*/false);
       }
     }
+    if (arms & (kArmCrc32c | kArmXorFold)) {
+      sidecar = std::make_unique<core::IntegritySidecar>(
+          (arms & kArmCrc32c) ? core::SealAlgo::kCrc32c
+                              : core::SealAlgo::kXorFold);
+    }
     sl = std::make_unique<core::Gfsl>(cfg, &mem, nullptr, leases.get(),
-                                      nullptr, region.get());
+                                      nullptr, region.get(), nullptr, nullptr,
+                                      sidecar.get());
+    if (arms & kArmMetrics) team.set_metrics(&metrics.shard(0));
+    if (arms & kArmFlightRecorder) team.set_trace(&ring);
     std::vector<std::pair<Key, Value>> pairs;
-    for (Key k = 1; k <= prefill; ++k) pairs.emplace_back(k * 2, k);
+    for (Key k = 1; k <= 10'000; ++k) pairs.emplace_back(k * 2, k);
     sl->bulk_load(pairs);
   }
   device::DeviceMemory mem;
   simt::Team team;
+  obs::MetricsRegistry metrics{1};
+  simt::TeamTrace ring{256, /*timestamps=*/false};
   std::unique_ptr<device::PersistRegion> region;
   std::unique_ptr<sched::LeaseTable> leases;
+  std::unique_ptr<core::IntegritySidecar> sidecar;
   std::unique_ptr<core::Gfsl> sl;
 };
 
-double persist_contains_ns(PersistMode mode, std::uint64_t iters,
-                           const std::string& region_path) {
-  PersistFixture f(32, 10'000, mode, region_path);
+double ns_since(std::chrono::steady_clock::time_point t0, std::uint64_t ops) {
+  const auto dt = std::chrono::steady_clock::now() - t0;
+  return static_cast<double>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()) /
+         static_cast<double>(ops);
+}
+
+double contains_ns(unsigned arms, std::uint64_t iters,
+                   const std::string& region_path) {
+  OverheadFixture f(arms, region_path);
   Key k = 1;
   bool sink = false;
   const auto t0 = std::chrono::steady_clock::now();
@@ -721,16 +641,14 @@ double persist_contains_ns(PersistMode mode, std::uint64_t iters,
     sink ^= f.sl->contains(f.team, k);
     k = (k % 20'000) + 1;
   }
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  if (sink) std::fputs("", stdout);
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()) /
-         static_cast<double>(iters);
+  const double ns = ns_since(t0, iters);
+  if (sink) std::fputs("", stdout);  // keep the loop observable
+  return ns;
 }
 
-double persist_insert_erase_ns(PersistMode mode, std::uint64_t iters,
-                               const std::string& region_path) {
-  PersistFixture f(32, 10'000, mode, region_path);
+double insert_erase_ns(unsigned arms, std::uint64_t iters,
+                       const std::string& region_path) {
+  OverheadFixture f(arms, region_path);
   Key k = 50'001;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) {
@@ -738,255 +656,107 @@ double persist_insert_erase_ns(PersistMode mode, std::uint64_t iters,
     f.sl->erase(f.team, k);
     ++k;
   }
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()) /
-         static_cast<double>(iters * 2);
+  return ns_since(t0, iters * 2);  // two structure ops per iteration
 }
 
-BenchReport run_persist_overhead(const CampaignOptions& opts) {
+/// Quiescent full-pool scrub of an undamaged structure, per scanned chunk.
+double scrub_ns_per_chunk(const std::string& region_path) {
+  OverheadFixture f(kArmCrc32c, region_path);
+  const auto t0 = std::chrono::steady_clock::now();
+  const core::ScrubReport rep = f.sl->scrub_pass(f.team);
+  return rep.chunks_scanned == 0 ? 0.0 : ns_since(t0, rep.chunks_scanned);
+}
+
+BenchReport run_overhead(const OverheadCampaign& oc,
+                         const CampaignOptions& opts) {
   const Scale sc = campaign_scale(opts);
   BenchReport report;
-  report.campaign = "persist_overhead";
+  report.campaign = oc.name;
   stamp_scale(report, sc, opts);
 
   const std::uint64_t iters = opts.quick ? 20'000 : 50'000;
   const int reps = static_cast<int>(sc.reps);
   report.set_config("iters", std::to_string(iters));
+  // Unique per process: a concurrent run must not truncate this mapping.
   const std::string region_path =
-      (std::filesystem::temp_directory_path() / "gfsl_persist_overhead.region")
+      (std::filesystem::temp_directory_path() /
+       ("gfsl_" + oc.name + "." + std::to_string(::getpid()) + ".region"))
           .string();
 
-  std::printf(
-      "# persist_overhead: host ns/op across the durability ladder — "
-      "detached (seed path) / leased (lease words only) / armed "
-      "(file-backed region + persist barriers)\n"
-      "# (%d reps x %llu iters; gated on the armed/detached and "
-      "leased/detached ratios, which cancel machine speed)\n\n",
-      reps, static_cast<unsigned long long>(iters));
+  std::printf("# %s: %s\n# (%d reps x %llu iters; %s)\n\n", oc.name.c_str(),
+              oc.description.c_str(), reps,
+              static_cast<unsigned long long>(iters), oc.note.c_str());
 
-  const PersistMode modes[] = {PersistMode::kDetached, PersistMode::kLeased,
-                               PersistMode::kArmed};
-  Table t({"loop", "mode", "ns/op (mean ±stddev)", "vs detached"});
-  // Interleave the modes within each rep so machine drift (thermal, cache
-  // pressure from neighbors) hits all three arms of rep r alike; the gated
-  // per-rep ratios then carry a real spread for bench_compare's k·σ band.
-  std::vector<double> ns_c[3], ns_ie[3];
+  const std::size_t n = oc.modes.size();
+  std::vector<std::vector<double>> ns_c(n), ns_ie(n);
   for (int r = 0; r < reps; ++r) {
-    for (int mi = 0; mi < 3; ++mi) {
-      ns_c[mi].push_back(persist_contains_ns(modes[mi], iters, region_path));
+    for (std::size_t mi = 0; mi < n; ++mi) {
+      ns_c[mi].push_back(contains_ns(oc.modes[mi].arms, iters, region_path));
       ns_ie[mi].push_back(
-          persist_insert_erase_ns(modes[mi], iters, region_path));
+          insert_erase_ns(oc.modes[mi].arms, iters, region_path));
     }
   }
-  for (int mi = 0; mi < 3; ++mi) {
-    BenchMetric c;
-    c.samples = ns_c[mi];
-    BenchMetric ie;
-    ie.samples = ns_ie[mi];
-    const bool base = mi == 0;
-    const std::string mk = persist_mode_key(modes[mi]);
-    std::vector<double> ratio_c, ratio_ie;
-    for (int r = 0; r < reps; ++r) {
-      ratio_c.push_back(ns_c[mi][static_cast<std::size_t>(r)] /
-                        ns_c[0][static_cast<std::size_t>(r)]);
-      ratio_ie.push_back(ns_ie[mi][static_cast<std::size_t>(r)] /
-                         ns_ie[0][static_cast<std::size_t>(r)]);
+
+  const auto per_rep_ratio = [](const std::vector<double>& num,
+                                const std::vector<double>& den) {
+    BenchMetric m;
+    for (std::size_t r = 0; r < num.size(); ++r) {
+      m.samples.push_back(num[r] / den[r]);
     }
-    BenchMetric rc;
-    rc.samples = ratio_c;
-    BenchMetric rie;
-    rie.samples = ratio_ie;
-    t.add_row({"contains", mk, fmt_mean_stddev(c.mean(), c.stddev(), 1),
-               base ? "1.00x" : fmt(rc.mean(), 2) + "x"});
-    t.add_row({"insert_erase", mk, fmt_mean_stddev(ie.mean(), ie.stddev(), 1),
-               base ? "1.00x" : fmt(rie.mean(), 2) + "x"});
+    return m;
+  };
+  const auto mean_stddev = [](const std::vector<double>& samples) {
+    BenchMetric m;
+    m.samples = samples;
+    return fmt_mean_stddev(m.mean(), m.stddev(), 1);
+  };
+  Table t({"loop", "mode", "ns/op (mean ±stddev)",
+           "vs " + oc.modes.front().key});
+  for (std::size_t mi = 0; mi < n; ++mi) {
+    const std::string& mk = oc.modes[mi].key;
+    BenchMetric rc = per_rep_ratio(ns_c[mi], ns_c[0]);
+    BenchMetric rie = per_rep_ratio(ns_ie[mi], ns_ie[0]);
+    t.add_row({"contains", mk, mean_stddev(ns_c[mi]),
+               fmt(rc.mean(), 2) + "x"});
+    t.add_row({"insert_erase", mk, mean_stddev(ns_ie[mi]),
+               fmt(rie.mean(), 2) + "x"});
     add_metric(report, "contains_ns." + mk, "ns", Better::kLower, false,
                ns_c[mi]);
     add_metric(report, "insert_erase_ns." + mk, "ns", Better::kLower, false,
                ns_ie[mi]);
-    if (!base) {
+    if (oc.gate_ratios && mi > 0) {
       add_metric(report, "contains_ratio." + mk, "x", Better::kLower, true,
-                 std::move(ratio_c));
+                 std::move(rc.samples));
       add_metric(report, "insert_erase_ratio." + mk, "x", Better::kLower, true,
-                 std::move(ratio_ie));
+                 std::move(rie.samples));
     }
   }
+  if (oc.time_scrub) {
+    std::vector<double> ns_scrub;
+    for (int r = 0; r < reps; ++r) {
+      ns_scrub.push_back(scrub_ns_per_chunk(region_path));
+    }
+    t.add_row({"scrub_pass", "crc32c", mean_stddev(ns_scrub) + " /chunk",
+               "-"});
+    add_metric(report, "scrub_ns_per_chunk.crc32c", "ns", Better::kLower,
+               false, std::move(ns_scrub));
+  }
   t.print(std::cout);
-  std::printf(
-      "\nacceptance: the fault-free detached path pays nothing (persist_point"
-      "() is a single pointer test); the armed ratio is the price of "
-      "durability and must not creep.\n");
+  if (!oc.acceptance.empty()) {
+    std::printf("\nacceptance: %s\n", oc.acceptance.c_str());
+  }
   std::error_code ec;
   std::filesystem::remove(region_path, ec);
   return report;
 }
 
-// ---------------------------------------------------------------------------
-// Integrity armor micro suite — host ns/op A/B with the IntegritySidecar
-// detached (the seed path: no seals, no checks, bit-identical behavior) vs
-// armed with each seal algorithm (every lock release restamps the chunk's
-// data-slot seal; checked reads verify on their cold path).  Raw nanoseconds
-// are machine-speed-bound and stay informational; the gated metrics are the
-// per-rep armed/detached ratios, which cancel the machine out.  A quiescent
-// full-pool scrub pass is timed per scanned chunk (informational): the
-// steady-state cost of patrolling an undamaged structure.
-
-enum class IntegrityMode { kDetached, kCrc32c, kXorFold };
-
-const char* integrity_mode_key(IntegrityMode m) {
-  switch (m) {
-    case IntegrityMode::kDetached: return "detached";
-    case IntegrityMode::kCrc32c: return "crc32c";
-    case IntegrityMode::kXorFold: return "xorfold";
-  }
-  return "detached";
-}
-
-struct IntegrityFixture {
-  IntegrityFixture(int team_size, Key prefill, IntegrityMode mode)
-      : team(team_size, 0, 1) {
-    if (mode != IntegrityMode::kDetached) {
-      sidecar = std::make_unique<core::IntegritySidecar>(
-          mode == IntegrityMode::kCrc32c ? core::SealAlgo::kCrc32c
-                                         : core::SealAlgo::kXorFold);
-    }
-    core::GfslConfig cfg;
-    cfg.team_size = team_size;
-    cfg.pool_chunks = 1u << 16;
-    sl = std::make_unique<core::Gfsl>(cfg, &mem, nullptr, nullptr, nullptr,
-                                      nullptr, nullptr, nullptr,
-                                      sidecar.get());
-    std::vector<std::pair<Key, Value>> pairs;
-    for (Key k = 1; k <= prefill; ++k) pairs.emplace_back(k * 2, k);
-    sl->bulk_load(pairs);
-  }
-  device::DeviceMemory mem;
-  simt::Team team;
-  std::unique_ptr<core::IntegritySidecar> sidecar;
-  std::unique_ptr<core::Gfsl> sl;
-};
-
-double integrity_contains_ns(IntegrityMode mode, std::uint64_t iters) {
-  IntegrityFixture f(32, 10'000, mode);
-  Key k = 1;
-  bool sink = false;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    sink ^= f.sl->contains(f.team, k);
-    k = (k % 20'000) + 1;
-  }
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  if (sink) std::fputs("", stdout);
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()) /
-         static_cast<double>(iters);
-}
-
-double integrity_insert_erase_ns(IntegrityMode mode, std::uint64_t iters) {
-  IntegrityFixture f(32, 10'000, mode);
-  Key k = 50'001;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    f.sl->insert(f.team, k, 0);
-    f.sl->erase(f.team, k);
-    ++k;
-  }
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()) /
-         static_cast<double>(iters * 2);
-}
-
-double integrity_scrub_ns_per_chunk(IntegrityMode mode) {
-  IntegrityFixture f(32, 10'000, mode);
-  const auto t0 = std::chrono::steady_clock::now();
-  const core::ScrubReport rep = f.sl->scrub_pass(f.team);
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  if (rep.chunks_scanned == 0) return 0.0;
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()) /
-         static_cast<double>(rep.chunks_scanned);
-}
-
-BenchReport run_integrity_overhead(const CampaignOptions& opts) {
-  const Scale sc = campaign_scale(opts);
-  BenchReport report;
-  report.campaign = "integrity_overhead";
-  stamp_scale(report, sc, opts);
-
-  const std::uint64_t iters = opts.quick ? 20'000 : 50'000;
-  const int reps = static_cast<int>(sc.reps);
-  report.set_config("iters", std::to_string(iters));
-
-  std::printf(
-      "# integrity_overhead: host ns/op with the integrity sidecar detached "
-      "(seed path) / armed crc32c / armed xorfold\n"
-      "# (%d reps x %llu iters; gated on the per-rep armed/detached ratios, "
-      "which cancel machine speed)\n\n",
-      reps, static_cast<unsigned long long>(iters));
-
-  const IntegrityMode modes[] = {IntegrityMode::kDetached,
-                                 IntegrityMode::kCrc32c,
-                                 IntegrityMode::kXorFold};
-  Table t({"loop", "mode", "ns/op (mean ±stddev)", "vs detached"});
-  // Interleave the modes within each rep so machine drift hits all arms of
-  // rep r alike; the gated per-rep ratios then carry a real spread for
-  // bench_compare's k·σ band.
-  std::vector<double> ns_c[3], ns_ie[3], ns_scrub;
-  for (int r = 0; r < reps; ++r) {
-    for (int mi = 0; mi < 3; ++mi) {
-      ns_c[mi].push_back(integrity_contains_ns(modes[mi], iters));
-      ns_ie[mi].push_back(integrity_insert_erase_ns(modes[mi], iters));
-    }
-    ns_scrub.push_back(integrity_scrub_ns_per_chunk(IntegrityMode::kCrc32c));
-  }
-  for (int mi = 0; mi < 3; ++mi) {
-    BenchMetric c;
-    c.samples = ns_c[mi];
-    BenchMetric ie;
-    ie.samples = ns_ie[mi];
-    const bool base = mi == 0;
-    const std::string mk = integrity_mode_key(modes[mi]);
-    std::vector<double> ratio_c, ratio_ie;
-    for (int r = 0; r < reps; ++r) {
-      ratio_c.push_back(ns_c[mi][static_cast<std::size_t>(r)] /
-                        ns_c[0][static_cast<std::size_t>(r)]);
-      ratio_ie.push_back(ns_ie[mi][static_cast<std::size_t>(r)] /
-                         ns_ie[0][static_cast<std::size_t>(r)]);
-    }
-    BenchMetric rc;
-    rc.samples = ratio_c;
-    BenchMetric rie;
-    rie.samples = ratio_ie;
-    t.add_row({"contains", mk, fmt_mean_stddev(c.mean(), c.stddev(), 1),
-               base ? "1.00x" : fmt(rc.mean(), 2) + "x"});
-    t.add_row({"insert_erase", mk, fmt_mean_stddev(ie.mean(), ie.stddev(), 1),
-               base ? "1.00x" : fmt(rie.mean(), 2) + "x"});
-    add_metric(report, "contains_ns." + mk, "ns", Better::kLower, false,
-               ns_c[mi]);
-    add_metric(report, "insert_erase_ns." + mk, "ns", Better::kLower, false,
-               ns_ie[mi]);
-    if (!base) {
-      add_metric(report, "contains_ratio." + mk, "x", Better::kLower, true,
-                 std::move(ratio_c));
-      add_metric(report, "insert_erase_ratio." + mk, "x", Better::kLower, true,
-                 std::move(ratio_ie));
-    }
-  }
-  BenchMetric scrub;
-  scrub.samples = ns_scrub;
-  t.add_row({"scrub_pass", "crc32c",
-             fmt_mean_stddev(scrub.mean(), scrub.stddev(), 1) + " /chunk",
-             "-"});
-  add_metric(report, "scrub_ns_per_chunk.crc32c", "ns", Better::kLower, false,
-             std::move(ns_scrub));
-  t.print(std::cout);
-  std::printf(
-      "\nacceptance: the detached path pays nothing (every seal call starts "
-      "with one null test); the armed ratios are the price of tamper-evident "
-      "chunks and must not creep.\n");
-  return report;
+Campaign overhead_campaign(OverheadCampaign oc) {
+  std::string name = oc.name;
+  std::string description = oc.description;
+  return {std::move(name), std::move(description),
+          [oc = std::move(oc)](const CampaignOptions& opts) {
+            return run_overhead(oc, opts);
+          }};
 }
 
 // ---------------------------------------------------------------------------
@@ -1272,14 +1042,45 @@ const std::vector<Campaign>& campaigns() {
        run_batch_throughput},
       {"steady_state_churn", "epoch-reclamation memory soak (leak vs ebr)",
        run_steady_state_churn},
-      {"micro_ops", "host ns/op with observability layers detached vs armed",
-       run_micro_ops},
-      {"persist_overhead",
-       "host ns/op with the durable region detached / leased / armed",
-       run_persist_overhead},
-      {"integrity_overhead",
-       "host ns/op with the integrity sidecar detached / crc32c / xorfold",
-       run_integrity_overhead},
+      // Observability layers; nothing gates (the flight recorder must stay
+      // within noise of detached, checked by eye).
+      overhead_campaign(
+          {"micro_ops",
+           "host ns/op with observability layers detached vs armed",
+           "armed-but-idle flight recorder must stay within noise of "
+           "detached",
+           "",
+           {{"detached", 0},
+            {"metrics", kArmMetrics},
+            {"flight_recorder", kArmFlightRecorder}},
+           /*gate_ratios=*/false,
+           /*time_scrub=*/false}),
+      // The durability ladder: detached (persist_point() is one pointer
+      // test), lease words only, file-backed region + persist barriers.
+      overhead_campaign(
+          {"persist_overhead",
+           "host ns/op with the durable region detached / leased / armed",
+           "gated on the armed/detached and leased/detached ratios, which "
+           "cancel machine speed",
+           "the fault-free detached path pays nothing (persist_point() is a "
+           "single pointer test); the armed ratio is the price of durability "
+           "and must not creep.",
+           {{"detached", 0}, {"leased", kArmLeases}, {"armed", kArmPersist}},
+           /*gate_ratios=*/true,
+           /*time_scrub=*/false}),
+      // Seals restamped at every lock release and verified on the checked-
+      // read cold path (DESIGN.md §15), plus the scrub patrol's cost.
+      overhead_campaign(
+          {"integrity_overhead",
+           "host ns/op with the integrity sidecar detached / crc32c / xorfold",
+           "gated on the per-rep armed/detached ratios, which cancel machine "
+           "speed",
+           "the detached path pays nothing (every seal call starts with one "
+           "null test); the armed ratios are the price of tamper-evident "
+           "chunks and must not creep.",
+           {{"detached", 0}, {"crc32c", kArmCrc32c}, {"xorfold", kArmXorFold}},
+           /*gate_ratios=*/true,
+           /*time_scrub=*/true}),
       {"scan_mixed",
        "mutator mix vs a full-range scanner, legacy scan / mvcc scan_at A/B",
        run_scan_mixed},
@@ -1314,20 +1115,6 @@ BenchReport run_campaign(const Campaign& c, const CampaignOptions& opts) {
     }
   }
   return report;
-}
-
-int campaign_main(const std::string& name) {
-  const Campaign* c = find_campaign(name);
-  if (c == nullptr) {
-    std::fprintf(stderr, "unknown campaign '%s'\n", name.c_str());
-    return 2;
-  }
-  CampaignOptions opts;
-  if (const char* dir = std::getenv("GFSL_BENCH_JSON_DIR"); dir != nullptr) {
-    opts.out_dir = dir;
-  }
-  (void)run_campaign(*c, opts);
-  return 0;
 }
 
 }  // namespace gfsl::harness

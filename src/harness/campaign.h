@@ -1,16 +1,16 @@
-// Canonical benchmark campaigns behind both the per-figure bench binaries
-// and the unified `bench_runner` tool.
+// Canonical benchmark campaigns behind the unified `bench_runner` tool.
 //
 // A campaign bundles one experiment family (a thesis figure sweep, the batch
-// A/B, the churn soak, the host-micro suite): it prints the same
-// human-readable tables the standalone binaries always printed AND returns a
-// BenchReport (gfsl-bench-v1) carrying every measured series with its
-// per-repetition samples, so one run feeds eyeballs, dashboards and the
-// bench_compare regression gate alike.  The per-figure binaries are thin
-// shims over campaign_main(); bench_runner iterates the registry.
+// A/B, the churn soak, an attach-mode overhead A/B): it prints the
+// human-readable tables AND returns a BenchReport (gfsl-bench-v1) carrying
+// every measured series with its per-repetition samples, so one run feeds
+// eyeballs, dashboards and the bench_compare regression gate alike.
+// `bench_runner --campaign NAME` runs one at env scale (GFSL_OPS,
+// GFSL_MAX_RANGE, GFSL_REPS, GFSL_TEAMS), `--quick` at the fixed CI scale.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,7 +33,7 @@ struct CampaignOptions {
 struct Campaign {
   std::string name;
   std::string description;
-  BenchReport (*run)(const CampaignOptions&);
+  std::function<BenchReport(const CampaignOptions&)> run;
 };
 
 /// All registered campaigns, in canonical order.
@@ -44,18 +44,12 @@ const Campaign* find_campaign(const std::string& name);
 /// scale) and apply the reps override.
 Scale campaign_scale(const CampaignOptions& opts);
 
-/// Entry point for the single-campaign bench binaries: run `name` at env
-/// scale and print its tables.  When GFSL_BENCH_JSON_DIR is set the
-/// gfsl-bench-v1 report is also written there.  Returns a main()-style exit
-/// code (2 = unknown campaign).
-int campaign_main(const std::string& name);
-
 /// Run one campaign and, when opts.out_dir is set, write
 /// `<out_dir>/BENCH_<name>.json`.  Returns the report.
 BenchReport run_campaign(const Campaign& c, const CampaignOptions& opts);
 
-// Shared bench plumbing (formerly private to bench/bench_common.h; the
-// campaign implementations and the standalone binaries use one copy).
+// Shared bench plumbing: the campaign implementations and the standalone
+// table/ablation binaries use one copy.
 
 StructureSetup setup_from_scale(const Scale& sc, int team_size = 32);
 

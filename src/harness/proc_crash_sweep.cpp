@@ -37,7 +37,8 @@ struct JournalRec {
   std::uint8_t kind;    // OpKind
   std::uint8_t result;  // 'E' only
   std::uint32_t opid;   // index into the generated op array
-  std::uint64_t key;
+  Key key;
+  std::uint32_t reserved;  // zero; keeps the record 16 bytes
 };
 static_assert(sizeof(JournalRec) == 16);
 
@@ -114,7 +115,7 @@ std::vector<Op> sweep_ops(const ProcCrashSweepConfig& cfg) {
           const Op& op = ops[i];
           jwrite(jfd, {'B', static_cast<std::uint8_t>(w),
                        static_cast<std::uint8_t>(op.kind), 0,
-                       static_cast<std::uint32_t>(i), op.key});
+                       static_cast<std::uint32_t>(i), op.key, 0});
           bool r = false;
           switch (op.kind) {
             case OpKind::Insert: r = sl.insert(team, op.key, op.value); break;
@@ -124,7 +125,7 @@ std::vector<Op> sweep_ops(const ProcCrashSweepConfig& cfg) {
           jwrite(jfd, {'E', static_cast<std::uint8_t>(w),
                        static_cast<std::uint8_t>(op.kind),
                        static_cast<std::uint8_t>(r),
-                       static_cast<std::uint32_t>(i), op.key});
+                       static_cast<std::uint32_t>(i), op.key, 0});
         }
         sched.leave(w);
       });

@@ -1,10 +1,15 @@
-// gfsl-bench-v1 schema round-trip and the bench_compare gating logic.
+// gfsl-bench-v1 schema round-trip, the bench_compare gating logic, and the
+// contract between the campaign registry and the committed baselines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "harness/bench_schema.h"
+#include "harness/campaign.h"
 #include "obs/json_value.h"
 
 using namespace gfsl;
@@ -245,4 +250,92 @@ TEST(JsonValue, PathologicalNestingFailsGracefullyNotFatally) {
   std::string over_limit(static_cast<std::size_t>(kMaxDepth) + 1, '[');
   over_limit.append(static_cast<std::size_t>(kMaxDepth) + 1, ']');
   EXPECT_FALSE(obs::json_parse(over_limit).ok);
+}
+
+// ---------------------------------------------------------------------------
+// Registry <-> bench/baselines/ contract: every registered campaign has a
+// committed quick baseline and vice versa, and a campaign's report keeps the
+// exact metric (name, unit, better, gate) list and config keys of its
+// baseline — a rename or a dropped gate would otherwise surface only as a
+// "missing gated metric" in the CI bench gate.
+
+namespace {
+
+using MetricShape = std::tuple<std::string, std::string, Better, bool>;
+
+std::vector<MetricShape> metric_shapes(const BenchReport& r) {
+  std::vector<MetricShape> out;
+  for (const auto& m : r.metrics) {
+    out.emplace_back(m.name, m.unit, m.better, m.gate);
+  }
+  return out;
+}
+
+/// Sorted: the JSON reader hands object keys back in sorted order.
+std::vector<std::string> config_keys(const BenchReport& r) {
+  std::vector<std::string> out;
+  for (const auto& [k, v] : r.config) out.push_back(k);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+BenchReport load_baseline(const std::string& campaign) {
+  const std::string path =
+      std::string(GFSL_BASELINES_DIR) + "/BENCH_" + campaign + ".json";
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  BenchReport base;
+  std::string err;
+  EXPECT_TRUE(read_bench_json(text.str(), base, err)) << path << ": " << err;
+  return base;
+}
+
+void expect_report_matches_baseline(const std::string& campaign) {
+  const Campaign* c = find_campaign(campaign);
+  ASSERT_NE(c, nullptr) << campaign;
+  CampaignOptions opts;
+  opts.quick = true;
+  opts.reps = 1;
+  const BenchReport report = run_campaign(*c, opts);
+  const BenchReport base = load_baseline(campaign);
+  EXPECT_EQ(report.campaign, base.campaign);
+  EXPECT_EQ(metric_shapes(report), metric_shapes(base));
+  EXPECT_EQ(config_keys(report), config_keys(base));
+}
+
+}  // namespace
+
+TEST(CampaignRegistry, NamesEqualCommittedBaselines) {
+  std::vector<std::string> registered;
+  for (const auto& c : campaigns()) registered.push_back(c.name);
+  std::vector<std::string> committed;
+  for (const auto& e :
+       std::filesystem::directory_iterator(GFSL_BASELINES_DIR)) {
+    const std::string file = e.path().filename().string();
+    const std::string prefix = "BENCH_", suffix = ".json";
+    if (file.size() > prefix.size() + suffix.size() &&
+        file.compare(0, prefix.size(), prefix) == 0 &&
+        file.compare(file.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      committed.push_back(file.substr(
+          prefix.size(), file.size() - prefix.size() - suffix.size()));
+    }
+  }
+  std::sort(registered.begin(), registered.end());
+  std::sort(committed.begin(), committed.end());
+  EXPECT_EQ(registered.size(), 11u);
+  EXPECT_EQ(registered, committed);
+}
+
+TEST(CampaignRegistry, MicroOpsMatchesBaselineShape) {
+  expect_report_matches_baseline("micro_ops");
+}
+
+TEST(CampaignRegistry, PersistOverheadMatchesBaselineShape) {
+  expect_report_matches_baseline("persist_overhead");
+}
+
+TEST(CampaignRegistry, IntegrityOverheadMatchesBaselineShape) {
+  expect_report_matches_baseline("integrity_overhead");
 }

@@ -3,11 +3,12 @@
 //   bench_runner [--campaign a,b,c | --campaign all] [--quick] [--reps N]
 //                [--out-dir DIR] [--list]
 //
-// Runs the selected benchmark campaigns (the same registry the per-figure
-// bench binaries wrap) and, when --out-dir is given, writes one
-// `BENCH_<campaign>.json` gfsl-bench-v1 report per campaign.  --quick swaps
-// in the fixed reduced scale the CI regression gate uses, so the emitted
-// reports are directly comparable against the committed baselines under
+// Runs the selected benchmark campaigns (src/harness/campaign.h) and, when
+// --out-dir is given, writes one `BENCH_<campaign>.json` gfsl-bench-v1
+// report per campaign.  Without --quick a campaign runs at the env scale
+// (GFSL_OPS, GFSL_MAX_RANGE, GFSL_REPS, GFSL_TEAMS); --quick swaps in the
+// fixed reduced scale the CI regression gate uses, so the emitted reports
+// are directly comparable against the committed baselines under
 // bench/baselines/.  Exit codes: 0 all campaigns ran, 2 bad usage or an
 // unknown campaign name.
 #include <cstdio>
