@@ -23,7 +23,6 @@
 
 namespace gfsl::core {
 
-using simt::LaneVec;
 using simt::Team;
 
 Gfsl::SlowSearchResult Gfsl::batch_search(Team& team, Key k,
@@ -37,13 +36,7 @@ Gfsl::SlowSearchResult Gfsl::batch_search(Team& team, Key k,
   bool counted = false;
   for (;;) {
     SlowSearchResult r;
-    for (int l = 0; l < simt::kWarpSize; ++l) {
-      r.path[l] = (l < max_levels())
-                      ? head_[static_cast<std::size_t>(l)].load(
-                            std::memory_order_acquire)
-                      : NULL_CHUNK;
-    }
-    team.step();  // the headPtrAtHeight lockstep read
+    reset_path(team, r.path);
 
     // Warm start: the lowest cached level whose max still covers k.  Levels
     // above it keep their cursor chunks as path entries — each was on a
@@ -60,12 +53,12 @@ Gfsl::SlowSearchResult Gfsl::batch_search(Team& team, Key k,
       }
     }
 
-    LaneVec<KV> prev_kv;
-    Guarded prev_g;
-    bool have_prev = false;
+    // The sorted cursor is the batch path's only accelerator: a cold start
+    // descends from the head (never from a foresight hint), so it records
+    // every level and the next ascending key can reuse all of them.
     int height;
     int descent_top;
-    Guarded cur_g;
+    Guarded start;
     if (start_level >= 0) {
       for (int l = start_level + 1; l <= cur.height; ++l) {
         const ChunkRef c = cur.levels[static_cast<std::size_t>(l)].ref;
@@ -75,27 +68,16 @@ Gfsl::SlowSearchResult Gfsl::batch_search(Team& team, Key k,
       descent_top = cur.height;
       const BatchCursor::Entry& e =
           cur.levels[static_cast<std::size_t>(start_level)];
-      cur_g = Guarded{e.ref, e.gen};
+      start = Guarded{e.ref, e.gen};
       if (!counted) {
         counted = true;
         ++cur.reuses;
         team.metric(obs::kBatchDescentReuses);
       }
-    } else if (foresight_start(team, k, &cur_g)) {
-      // Cold descent seeded by a validated foresight hint: enter the bottom
-      // walk directly.  Only the level-0 cursor entry gets warmed (height 0),
-      // so the next ascending key either reuses it or consults a hint again.
-      height = 0;
-      descent_top = 0;
-      if (!counted) {
-        counted = true;
-        ++cur.fulls;
-        team.metric(obs::kBatchFullDescents);
-      }
     } else {
       height = height_coop(team);
       descent_top = height;
-      cur_g = guard_ref(head_of(team, height));
+      start = guard_ref(head_of(team, height));
       if (!counted) {
         counted = true;
         ++cur.fulls;
@@ -103,137 +85,11 @@ Gfsl::SlowSearchResult Gfsl::batch_search(Team& team, Key k,
       }
     }
 
-    bool restart = false;
-    while (height > 0) {
-      bool stale = false;
-      LaneVec<KV> kv = read_chunk_checked(team, cur_g, &stale);
-      ++reads;
-      if (stale) {  // chunk recycled under us — the path is garbage
-        restart = true;
-        break;
-      }
-      if (is_zombie(team, kv)) {
-        note_zombie(team, cur_g.ref);
-        const bool at_head =
-            !have_prev && head_[static_cast<std::size_t>(height)].load(
-                              std::memory_order_acquire) == cur_g.ref;
-        std::vector<ChunkRef> chain;
-        if (at_head) chain.push_back(cur_g.ref);
-        bool chain_stale = false;
-        const ChunkRef fnz = first_non_zombie(
-            team, kv, at_head ? &chain : nullptr, &chain_stale);
-        if (chain_stale) {
-          restart = true;
-          break;
-        }
-        if (have_prev) {
-          redirect_to_remove_zombie(team, prev_g.ref, fnz);
-        } else if (at_head) {
-          ChunkRef expected = cur_g.ref;
-          mem_->atomic_rmw(head_device_base_ + 256 +
-                           static_cast<std::uint64_t>(height) * 4u);
-          if (head_[static_cast<std::size_t>(height)].compare_exchange_strong(
-                  expected, fnz, std::memory_order_acq_rel,
-                  std::memory_order_acquire)) {
-            for (const ChunkRef z : chain) retire_chunk(team, z);
-          }
-          team.step();
-        }
-        cur_g = guard_ref(fnz);
-        continue;
-      }
-      const int step = tid_for_next_step(team, k, kv);
-      if (step == team.next_lane()) {  // lateral
-        prev_kv = kv;
-        prev_g = cur_g;
-        have_prev = true;
-        cur_g = guard_ref(next_of(team, kv));
-      } else if (step != kNone) {  // down
-        r.path[height] = cur_g.ref;
-        cur.levels[static_cast<std::size_t>(height)] = {cur_g.ref, cur_g.gen,
-                                                        max_of(team, kv)};
-        --height;
-        have_prev = false;
-        cur_g = guard_ref(ptr_from_tid(team, step, kv));
-      } else {  // backtrack
-        if (!have_prev) {
-          // All keys here are > k and there is no predecessor to step down
-          // through — under a warm start this means the cursor chunk's
-          // contents migrated past k.  Go cold.
-          ++team.counters().restarts;
-          team.record(simt::TraceEvent::kRestart, cur_g.ref, k);
-          restart = true;
-          break;
-        }
-        r.path[height] = prev_g.ref;
-        cur.levels[static_cast<std::size_t>(height)] = {
-            prev_g.ref, prev_g.gen, max_of(team, prev_kv)};
-        const std::uint32_t bal = team.ballot_fn([&](int i) {
-          return i < team.dsize() && kv_key(prev_kv[i]) <= k;
-        });
-        --height;
-        cur_g = guard_ref(ptr_from_tid(team, Team::highest_lane(bal), prev_kv));
-        have_prev = false;
-      }
-    }
-    if (restart) {
-      use_cursor = false;
-      cur.invalidate();
-      continue;
-    }
-
-    // Bottom level: lateral walk with zombie unlinking; the enclosing chunk
-    // becomes path[0] and the cursor's level-0 entry.
-    ChunkRef bprev = NULL_CHUNK;
-    for (;;) {
-      bool stale = false;
-      const LaneVec<KV> kv = read_chunk_checked(team, cur_g, &stale);
-      ++reads;
-      if (stale) {
-        restart = true;
-        break;
-      }
-      if (is_zombie(team, kv)) {
-        note_zombie(team, cur_g.ref);
-        const bool at_head =
-            epochs_ != nullptr && bprev == NULL_CHUNK &&
-            head_[0].load(std::memory_order_acquire) == cur_g.ref;
-        std::vector<ChunkRef> chain;
-        if (at_head) chain.push_back(cur_g.ref);
-        bool chain_stale = false;
-        const ChunkRef fnz = first_non_zombie(
-            team, kv, at_head ? &chain : nullptr, &chain_stale);
-        if (chain_stale) {
-          restart = true;
-          break;
-        }
-        if (bprev != NULL_CHUNK) {
-          redirect_to_remove_zombie(team, bprev, fnz);
-        } else if (at_head) {
-          ChunkRef expected = cur_g.ref;
-          mem_->atomic_rmw(head_device_base_ + 256);
-          if (head_[0].compare_exchange_strong(expected, fnz,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-            for (const ChunkRef z : chain) retire_chunk(team, z);
-          }
-          team.step();
-        }
-        cur_g = guard_ref(fnz);
-        continue;
-      }
-      const int found = tid_with_equal_key(team, k, kv);
-      if (found == team.next_lane()) {
-        bprev = cur_g.ref;
-        cur_g = guard_ref(next_of(team, kv));
-        continue;
-      }
-      r.path[0] = cur_g.ref;
-      cur.levels[0] = {cur_g.ref, cur_g.gen, max_of(team, kv)};
-      r.found = (found != kNone);
-      break;
-    }
-    if (restart) {
+    // Any staleness or backtrack-without-prev goes cold: the cursor is
+    // dropped and the search restarts from the head.
+    Guarded bottom;
+    if (!descend_upper(team, k, height, start, r.path, &bottom, reads, &cur) ||
+        !walk_bottom(team, k, bottom, r, reads, &cur)) {
       use_cursor = false;
       cur.invalidate();
       continue;

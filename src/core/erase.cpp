@@ -44,7 +44,7 @@ bool Gfsl::erase_impl(Team& team, Key k) {
   return ok;
 }
 
-bool Gfsl::erase_committed(Team& team, Key k, const SlowSearchResult& sr) {
+bool Gfsl::erase_committed(Team& team, Key k, SlowSearchResult& sr) {
   // One revision for the whole op (no-op under a batch revision or without a
   // SnapshotManager).  Every remove_from_chunk below stamps under this rev.
   CommitScope commit(*this, team);
@@ -59,9 +59,15 @@ bool Gfsl::erase_committed(Team& team, Key k, const SlowSearchResult& sr) {
     }
   }
 
+  // A hinted search recorded only the bottom chunk.  k is present, so every
+  // upper level must be probed: descend now for real per-level starts.  The
+  // descent takes no blocking lock, so running it under the bottom lock
+  // cannot deadlock (DESIGN.md §14).
+  if (sr.hinted) fill_upper_path(team, k, sr);
+
   // Re-read the height so levels added after the search are not missed
   // (Algorithm 4.11 line 12); their path lanes were initialised to the head
-  // chunks by search_slow.  Holding the bottom lock, no other team can add
+  // chunks by reset_path.  Holding the bottom lock, no other team can add
   // or remove k anywhere, so containment per level is stable.
   const int height = height_coop(team);
   for (int i = height; i > 0; --i) {

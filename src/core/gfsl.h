@@ -129,10 +129,11 @@ class Gfsl {
   /// down to the min-snapshot watermark (DESIGN.md §13).
   /// `foresight` may be null: every operation descends from the head (seed
   /// semantics, bit-identical).  With a ForesightIndex attached, per-op
-  /// contains/find/insert/erase and the batch engine's cold descents consult
-  /// the published hint table and jump straight to a validated bottom-level
-  /// chunk, falling back to the classic descent on any generation mismatch
-  /// or zombie hit (DESIGN.md §14).  The table is rebuilt lazily, under the
+  /// contains/find/insert/erase consult the published hint table and jump
+  /// straight to a validated bottom-level chunk, falling back to the classic
+  /// descent on any generation mismatch or zombie hit; an erase that hits
+  /// or an insert that raises descends for its upper levels on demand
+  /// (DESIGN.md §14).  The table is rebuilt lazily, under the
   /// consulting operation's epoch pin, once enough split/merge/recycle
   /// events have accumulated.
   /// `integrity` may be null: no seal is ever computed or checked
@@ -414,9 +415,31 @@ class Gfsl {
 
   struct SlowSearchResult {
     bool found = false;
+    /// A validated foresight hint replaced the upper descent: only lane 0
+    /// of `path` is recorded, lanes 1.. are head defaults.  A commit half
+    /// that must touch an upper level calls fill_upper_path first.
+    bool hinted = false;
     simt::LaneVec<ChunkRef> path;  // lane l: chunk in level l to start from
   };
   SlowSearchResult search_slow(simt::Team& team, Key k);
+  /// Point every path lane at its level's head chunk (the headPtrAtHeight
+  /// lockstep read).
+  void reset_path(simt::Team& team, simt::LaneVec<ChunkRef>& path);
+  /// searchSlow's upper-level descent from `cur` in level `height`: records
+  /// path[height..1] (and, with a cursor, the cursor's entries for those
+  /// levels), unlinks zombies lazily without blocking, and sets `*bottom` to
+  /// the level-0 chunk the last down step reached.  False: restart from the
+  /// head (stale read, or a backtrack with no predecessor).
+  bool descend_upper(simt::Team& team, Key k, int height, Guarded cur,
+                     simt::LaneVec<ChunkRef>& path, Guarded* bottom,
+                     std::uint64_t& reads, BatchCursor* cursor = nullptr);
+  /// searchSlow's bottom-level lateral walk from `cur`: sets r.path[0] to
+  /// k's enclosing chunk and r.found.  False: restart from the head.
+  bool walk_bottom(simt::Team& team, Key k, Guarded cur, SlowSearchResult& r,
+                   std::uint64_t& reads, BatchCursor* cursor = nullptr);
+  /// Lazy fill for a hinted result: run the upper descent for k, recording
+  /// path[1..] and keeping lane 0.  Clears `hinted`.
+  void fill_upper_path(simt::Team& team, Key k, SlowSearchResult& sr);
 
   /// Exact-key lateral search at any level; returns {found, chunk reached}.
   std::pair<bool, ChunkRef> find_lateral(simt::Team& team, Key k, ChunkRef start);
@@ -472,10 +495,12 @@ class Gfsl {
   bool insert_impl(simt::Team& team, Key k, Value v);
   /// The post-search half of insert_impl: commit <k, v> through the recorded
   /// path (bottom lock, raise loop).  Shared verbatim between the per-op and
-  /// batch entry points so their step sequences cannot drift.  Throws
-  /// bad_alloc on bottom-level pool exhaustion (structure untouched).
+  /// batch entry points so their step sequences cannot drift.  A hinted
+  /// `sr` gets its upper path filled only when the bottom insert splits and
+  /// raises.  Throws bad_alloc on bottom-level pool exhaustion (structure
+  /// untouched).
   bool insert_committed(simt::Team& team, Key k, Value v,
-                        const SlowSearchResult& sr);
+                        SlowSearchResult& sr);
   InsertStatus insert_to_level(simt::Team& team, int level, ChunkRef& enc,
                                Key& k, Value v, bool& raise);
   void execute_insert(simt::Team& team, ChunkRef ref,
@@ -508,8 +533,9 @@ class Gfsl {
   /// The post-search half of erase_impl: lock the bottom enclosing chunk,
   /// re-check containment, peel k out of the upper levels top-down, then
   /// remove it from the bottom.  Shared between the per-op and batch entry
-  /// points.  False when k vanished between search and lock.
-  bool erase_committed(simt::Team& team, Key k, const SlowSearchResult& sr);
+  /// points.  A hinted `sr` gets its upper path filled under the bottom
+  /// lock.  False when k vanished between search and lock.
+  bool erase_committed(simt::Team& team, Key k, SlowSearchResult& sr);
   /// Remove k from the locked chunk `enc_ref`, merging if underfull.
   /// Releases (or zombifies) every lock it holds either way.  Returns false
   /// only when an *upper-level* merge-path split ran out of memory — nothing

@@ -33,7 +33,7 @@ bool Gfsl::insert_impl(Team& team, Key k, Value v) {
 }
 
 bool Gfsl::insert_committed(Team& team, Key k, Value v,
-                            const SlowSearchResult& sr) {
+                            SlowSearchResult& sr) {
   // One revision for the whole op (no-op when a batch revision is already
   // installed for this team, or when no SnapshotManager is attached).
   CommitScope commit(*this, team);
@@ -50,6 +50,12 @@ bool Gfsl::insert_committed(Team& team, Key k, Value v,
     if (st == InsertStatus::kNoMemory) throw std::bad_alloc();
     return false;
   }
+
+  // A hinted search recorded only the bottom chunk; most inserts stop here.
+  // A split that raises needs real upper starts: descend for the raised key
+  // (insert_to_level updated k) while the bottom lock is held — safe because
+  // the descent takes no blocking lock (DESIGN.md §14).
+  if (raise && sr.hinted) fill_upper_path(team, k, sr);
 
   // Raise through the levels while split coin-flips say so.  The value
   // stored at level i+1 is the chunk in level i that received the key —

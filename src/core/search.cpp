@@ -230,6 +230,158 @@ void Gfsl::redirect_to_remove_zombie(Team& team, ChunkRef prev, ChunkRef) {
   unlock(team, prev);
 }
 
+void Gfsl::reset_path(Team& team, LaneVec<ChunkRef>& path) {
+  for (int l = 0; l < simt::kWarpSize; ++l) {
+    path[l] = (l < max_levels()) ? head_[static_cast<std::size_t>(l)].load(
+                                       std::memory_order_acquire)
+                                 : NULL_CHUNK;
+  }
+  team.step();  // the headPtrAtHeight lockstep read
+}
+
+bool Gfsl::descend_upper(Team& team, Key k, int height, Guarded cur,
+                         LaneVec<ChunkRef>& path, Guarded* bottom,
+                         std::uint64_t& reads, BatchCursor* cursor) {
+  // Algorithm 4.6's upper levels: lane l of `path` records the chunk in
+  // level l through which the down step was taken, and zombies met on the
+  // way are unlinked lazily.  The unlinking never blocks (try_lock on the
+  // predecessor, CAS on a head), so a caller may run this while holding a
+  // bottom-level lock (DESIGN.md §14).
+  LaneVec<KV> prev_kv;
+  Guarded prev;
+  bool have_prev = false;
+  while (height > 0) {
+    bool stale = false;
+    const LaneVec<KV> kv = read_chunk_checked(team, cur, &stale);
+    ++reads;
+    if (stale) return false;  // chunk recycled under us — the path is garbage
+    if (is_zombie(team, kv)) {
+      note_zombie(team, cur.ref);
+      const bool at_head =
+          !have_prev && head_[static_cast<std::size_t>(height)].load(
+                            std::memory_order_acquire) == cur.ref;
+      std::vector<ChunkRef> chain;
+      if (at_head) chain.push_back(cur.ref);
+      bool chain_stale = false;
+      const ChunkRef fnz = first_non_zombie(
+          team, kv, at_head ? &chain : nullptr, &chain_stale);
+      if (chain_stale) return false;
+      if (have_prev) {
+        redirect_to_remove_zombie(team, prev.ref, fnz);
+      } else if (at_head) {
+        // The zombie was the first chunk in the level: swing the head.
+        // Zombie next pointers are frozen, so a won CAS from `cur` unlinks
+        // exactly `chain` — the unique retire point for it.
+        ChunkRef expected = cur.ref;
+        mem_->atomic_rmw(head_device_base_ + 256 +
+                         static_cast<std::uint64_t>(height) * 4u);
+        if (head_[static_cast<std::size_t>(height)].compare_exchange_strong(
+                expected, fnz, std::memory_order_acq_rel,
+                std::memory_order_acquire)) {
+          for (const ChunkRef z : chain) retire_chunk(team, z);
+        }
+        team.step();
+      }
+      cur = guard_ref(fnz);
+      continue;
+    }
+    const int step = tid_for_next_step(team, k, kv);
+    if (step == team.next_lane()) {  // lateral
+      prev_kv = kv;
+      prev = cur;
+      have_prev = true;
+      cur = guard_ref(next_of(team, kv));
+    } else if (step != kNone) {  // down
+      path[height] = cur.ref;
+      if (cursor != nullptr) {
+        cursor->levels[static_cast<std::size_t>(height)] = {
+            cur.ref, cur.gen, max_of(team, kv)};
+      }
+      --height;
+      have_prev = false;
+      cur = guard_ref(ptr_from_tid(team, step, kv));
+    } else {  // backtrack
+      if (!have_prev) {
+        // All keys here are > k and there is no predecessor to step down
+        // through (under a warm batch start: the cursor chunk's contents
+        // migrated past k).  Restart from the head.
+        ++team.counters().restarts;
+        team.record(simt::TraceEvent::kRestart, cur.ref, k);
+        return false;
+      }
+      path[height] = prev.ref;
+      if (cursor != nullptr) {
+        cursor->levels[static_cast<std::size_t>(height)] = {
+            prev.ref, prev.gen, max_of(team, prev_kv)};
+      }
+      // All keys here are > k; step down through the previous chunk, whose
+      // max is < k because we stepped laterally past it.
+      const std::uint32_t bal = team.ballot_fn([&](int i) {
+        return i < team.dsize() && kv_key(prev_kv[i]) <= k;
+      });
+      --height;
+      cur = guard_ref(ptr_from_tid(team, Team::highest_lane(bal), prev_kv));
+      have_prev = false;
+    }
+  }
+  *bottom = cur;
+  return true;
+}
+
+bool Gfsl::walk_bottom(Team& team, Key k, Guarded cur, SlowSearchResult& r,
+                       std::uint64_t& reads, BatchCursor* cursor) {
+  // Bottom level: lateral walk with zombie unlinking; the enclosing chunk
+  // becomes path[0] (and the cursor's level-0 entry).
+  ChunkRef bprev = NULL_CHUNK;
+  for (;;) {
+    bool stale = false;
+    const LaneVec<KV> kv = read_chunk_checked(team, cur, &stale);
+    ++reads;
+    if (stale) return false;
+    if (is_zombie(team, kv)) {
+      note_zombie(team, cur.ref);
+      // The seed never unlinked a zombified *first* bottom chunk (no
+      // predecessor to redirect through), which is harmless when zombies
+      // leak but fatal under reclamation: erasing small keys merges the
+      // head chunk over and over and the zombie chain pins the pool.
+      // With an EpochManager attached, mirror the upper-level head swing;
+      // detached, keep the seed's exact step sequence.
+      const bool at_head = epochs_ != nullptr && bprev == NULL_CHUNK &&
+                           head_[0].load(std::memory_order_acquire) == cur.ref;
+      std::vector<ChunkRef> chain;
+      if (at_head) chain.push_back(cur.ref);
+      bool chain_stale = false;
+      const ChunkRef fnz = first_non_zombie(
+          team, kv, at_head ? &chain : nullptr, &chain_stale);
+      if (chain_stale) return false;
+      if (bprev != NULL_CHUNK) {
+        redirect_to_remove_zombie(team, bprev, fnz);
+      } else if (at_head) {
+        ChunkRef expected = cur.ref;
+        mem_->atomic_rmw(head_device_base_ + 256);
+        if (head_[0].compare_exchange_strong(expected, fnz,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+          for (const ChunkRef z : chain) retire_chunk(team, z);
+        }
+        team.step();
+      }
+      cur = guard_ref(fnz);
+      continue;
+    }
+    const int found = tid_with_equal_key(team, k, kv);
+    if (found == team.next_lane()) {
+      bprev = cur.ref;
+      cur = guard_ref(next_of(team, kv));
+      continue;
+    }
+    r.path[0] = cur.ref;
+    if (cursor != nullptr) cursor->levels[0] = {cur.ref, cur.gen, max_of(team, kv)};
+    r.found = (found != kNone);
+    return true;
+  }
+}
+
 Gfsl::SlowSearchResult Gfsl::search_slow(Team& team, Key k) {
   // Algorithm 4.6: the Contains traversal plus (a) the per-lane path
   // "artificial array" — lane l records the chunk in level l through which
@@ -237,162 +389,45 @@ Gfsl::SlowSearchResult Gfsl::search_slow(Team& team, Key k) {
   std::uint64_t reads = 0;
   for (;;) {
     SlowSearchResult r;
-    for (int l = 0; l < simt::kWarpSize; ++l) {
-      r.path[l] = (l < max_levels())
-                      ? head_[static_cast<std::size_t>(l)].load(
-                            std::memory_order_acquire)
-                      : NULL_CHUNK;
-    }
-    team.step();  // the headPtrAtHeight lockstep read
-
-    LaneVec<KV> prev_kv;
-    ChunkRef prev_ref = NULL_CHUNK;
-    bool have_prev = false;
-    int height;
+    reset_path(team, r.path);
     Guarded cur;
-    // A validated foresight hint skips the whole upper descent.  The upper
-    // path lanes keep their head-chunk defaults, which the commit halves
-    // tolerate explicitly (erase re-reads the height; insert's raise loop
-    // walks from the head — raises are rare).
+    // A validated foresight hint skips the upper descent: most updates never
+    // touch an upper level, and the commit halves descend on demand
+    // (fill_upper_path) when they do.
     if (foresight_start(team, k, &cur)) {
-      height = 0;
+      r.hinted = true;
     } else {
-      height = height_coop(team);
-      cur = guard_ref(head_of(team, height));
-    }
-    bool restart = false;
-
-    while (height > 0) {
-      bool stale = false;
-      LaneVec<KV> kv = read_chunk_checked(team, cur, &stale);
-      ++reads;
-      if (stale) {  // chunk recycled under us — the path is garbage
-        restart = true;
-        break;
-      }
-      if (is_zombie(team, kv)) {
-        note_zombie(team, cur.ref);
-        const bool at_head =
-            !have_prev && head_[static_cast<std::size_t>(height)].load(
-                              std::memory_order_acquire) == cur.ref;
-        std::vector<ChunkRef> chain;
-        if (at_head) chain.push_back(cur.ref);
-        bool chain_stale = false;
-        const ChunkRef fnz = first_non_zombie(
-            team, kv, at_head ? &chain : nullptr, &chain_stale);
-        if (chain_stale) {
-          restart = true;
-          break;
-        }
-        if (have_prev) {
-          redirect_to_remove_zombie(team, prev_ref, fnz);
-        } else if (at_head) {
-          // The zombie was the first chunk in the level: swing the head.
-          // Zombie next pointers are frozen, so a won CAS from `cur`
-          // unlinks exactly `chain` — the unique retire point for it.
-          ChunkRef expected = cur.ref;
-          mem_->atomic_rmw(head_device_base_ + 256 +
-                           static_cast<std::uint64_t>(height) * 4u);
-          if (head_[static_cast<std::size_t>(height)].compare_exchange_strong(
-                  expected, fnz, std::memory_order_acq_rel,
-                  std::memory_order_acquire)) {
-            for (const ChunkRef z : chain) retire_chunk(team, z);
-          }
-          team.step();
-        }
-        cur = guard_ref(fnz);
+      const int height = height_coop(team);
+      if (!descend_upper(team, k, height, guard_ref(head_of(team, height)),
+                         r.path, &cur, reads)) {
         continue;
       }
-      const int step = tid_for_next_step(team, k, kv);
-      if (step == team.next_lane()) {  // lateral
-        prev_kv = kv;
-        prev_ref = cur.ref;
-        have_prev = true;
-        cur = guard_ref(next_of(team, kv));
-      } else if (step != kNone) {  // down
-        r.path[height] = cur.ref;
-        --height;
-        have_prev = false;
-        cur = guard_ref(ptr_from_tid(team, step, kv));
-      } else {  // backtrack
-        if (!have_prev) {
-          ++team.counters().restarts;
-          team.record(simt::TraceEvent::kRestart, cur.ref, k);
-          restart = true;
-          break;
-        }
-        r.path[height] = prev_ref;
-        const std::uint32_t bal = team.ballot_fn([&](int i) {
-          return i < team.dsize() && kv_key(prev_kv[i]) <= k;
-        });
-        --height;
-        cur = guard_ref(ptr_from_tid(team, Team::highest_lane(bal), prev_kv));
-        have_prev = false;
-      }
     }
-    if (restart) continue;
-
-    // Bottom level: lateral walk with zombie unlinking; the enclosing chunk
-    // becomes path[0].
-    ChunkRef bprev = NULL_CHUNK;
-    for (;;) {
-      bool stale = false;
-      const LaneVec<KV> kv = read_chunk_checked(team, cur, &stale);
-      ++reads;
-      if (stale) {
-        restart = true;
-        break;
-      }
-      if (is_zombie(team, kv)) {
-        note_zombie(team, cur.ref);
-        // The seed never unlinked a zombified *first* bottom chunk (no
-        // predecessor to redirect through), which is harmless when zombies
-        // leak but fatal under reclamation: erasing small keys merges the
-        // head chunk over and over and the zombie chain pins the pool.
-        // With an EpochManager attached, mirror the upper-level head swing;
-        // detached, keep the seed's exact step sequence.
-        const bool at_head =
-            epochs_ != nullptr && bprev == NULL_CHUNK &&
-            head_[0].load(std::memory_order_acquire) == cur.ref;
-        std::vector<ChunkRef> chain;
-        if (at_head) chain.push_back(cur.ref);
-        bool chain_stale = false;
-        const ChunkRef fnz = first_non_zombie(
-            team, kv, at_head ? &chain : nullptr, &chain_stale);
-        if (chain_stale) {
-          restart = true;
-          break;
-        }
-        if (bprev != NULL_CHUNK) {
-          redirect_to_remove_zombie(team, bprev, fnz);
-        } else if (at_head) {
-          ChunkRef expected = cur.ref;
-          mem_->atomic_rmw(head_device_base_ + 256);
-          if (head_[0].compare_exchange_strong(expected, fnz,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-            for (const ChunkRef z : chain) retire_chunk(team, z);
-          }
-          team.step();
-        }
-        cur = guard_ref(fnz);
-        continue;
-      }
-      const int found = tid_with_equal_key(team, k, kv);
-      if (found == team.next_lane()) {
-        bprev = cur.ref;
-        cur = guard_ref(next_of(team, kv));
-        continue;
-      }
-      r.path[0] = cur.ref;
-      r.found = (found != kNone);
-      break;
-    }
-    if (restart) continue;
+    if (!walk_bottom(team, k, cur, r, reads)) continue;
     traversal_chunk_reads_.fetch_add(reads, std::memory_order_relaxed);
     traversals_.fetch_add(1, std::memory_order_relaxed);
     return r;
   }
+}
+
+void Gfsl::fill_upper_path(Team& team, Key k, SlowSearchResult& sr) {
+  // The classic descent search_slow skipped, run for the upper levels only;
+  // lane 0 keeps the bottom chunk the hinted walk found.  Its reads belong
+  // to the operation's one traversal, so no new traversal is counted.
+  const ChunkRef bottom = sr.path[0];
+  std::uint64_t reads = 0;
+  for (;;) {
+    reset_path(team, sr.path);
+    const int height = height_coop(team);
+    Guarded reached;
+    if (descend_upper(team, k, height, guard_ref(head_of(team, height)),
+                      sr.path, &reached, reads)) {
+      break;
+    }
+  }
+  sr.path[0] = bottom;
+  sr.hinted = false;
+  traversal_chunk_reads_.fetch_add(reads, std::memory_order_relaxed);
 }
 
 std::size_t Gfsl::scan(Team& team, Key lo, Key hi,

@@ -389,6 +389,7 @@ Measurement measure_gfsl(const WorkloadConfig& wl,
   m.kernel = rr.kernel;
   m.team_totals = rr.team_totals;
   m.avg_chunks_per_traversal = sl.avg_chunks_per_traversal();
+  if (foresight) m.foresight_rebuilds = foresight->rebuilds();
   return m;
 }
 

@@ -52,10 +52,11 @@ struct StructureSetup {
   /// registry with > num_workers shards is attached, in shard num_workers —
   /// it does not count toward the modeled MOPS.  GFSL only.
   bool snapshot_scan = false;
-  /// Attach a core::ForesightIndex (DESIGN.md §14) so point operations and
-  /// cold batch descents jump straight to a hinted bottom chunk instead of
-  /// descending from the head.  Hit/fallback/staleness counters land in the
-  /// metrics registry when one is attached.  GFSL only.
+  /// Attach a core::ForesightIndex (DESIGN.md §14) so per-op point
+  /// operations jump straight to a hinted bottom chunk instead of
+  /// descending from the head (batched dispatch keeps its sorted cursor).
+  /// Hit/fallback/staleness counters land in the metrics registry when one
+  /// is attached.  GFSL only.
   bool foresight = false;
   /// Attach a core::IntegritySidecar (DESIGN.md §15): every lock release
   /// restamps the chunk's data-slot seal and checked reads verify it on
@@ -76,6 +77,9 @@ struct Measurement {
   model::KernelRun kernel;
   simt::TeamCounters team_totals;  // GFSL only
   double avg_chunks_per_traversal = 0.0;  // GFSL only (§5.2 p_chunk metric)
+  /// Hint-table publishes over the whole launch, priming included (the
+  /// priming team carries no metrics shard).  Populated when setup.foresight.
+  std::uint64_t foresight_rebuilds = 0;
   core::BatchStats batch;  // populated when setup.batch_size > 0
   // Populated when setup.snapshot_scan: concurrent scan_at traffic.
   std::uint64_t snapshot_scans = 0;          // scans that completed kOk

@@ -509,9 +509,10 @@ TEST(CrashSweepForesight, HintedSweepWithEpochReclaim) {
 }
 
 TEST(CrashSweepForesight, HintedBatchedSweepWithEpochs) {
-  // Batched dispatch consults hints on every cold shard descent; combine
-  // with epochs so kills land mid-shard while reclaim churns the very
-  // chunks the cursor and the hint table both name.
+  // Batched dispatch never consults hints (its sorted cursor is its only
+  // accelerator), but the attached table is still marked dirty by every
+  // split and merge; combine with epochs so kills land mid-shard while
+  // reclaim churns the chunks the cursor names.
   CrashSweepConfig cfg;
   cfg.workers = 3;
   cfg.team_size = 8;

@@ -5,9 +5,13 @@
 // hint publication and use, the fresh-hint traversal bound, and the A/B
 // determinism contract — a Gfsl constructed *without* a ForesightIndex runs
 // the seed code path, and attaching one must not change any operation's
-// result or the final contents.
+// result or the final contents.  Hinted updates must keep a real upper path:
+// an update that touches an upper level descends for it on demand, so an
+// armed index never reads more per op than the detached classic path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -18,6 +22,7 @@
 #include "common/random.h"
 #include "core/foresight.h"
 #include "core/gfsl.h"
+#include "core/inspect.h"
 #include "device/device_memory.h"
 #include "device/epoch.h"
 #include "obs/metrics.h"
@@ -349,6 +354,280 @@ TEST(ForesightFreshness, FreshHintsReadAtMostTwoChunksPerTraversal) {
   ASSERT_EQ(shard.counter(obs::kForesightFallbacks), 0u);
   EXPECT_LE(sl.avg_chunks_per_traversal(), 2.0);
   EXPECT_GT(sl.avg_chunks_per_traversal(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Hinted updates keep their upper path.  A hinted search records only the
+// bottom chunk; an erase that hits, or an insert whose split raises, must
+// descend for real per-level starts instead of walking each upper level
+// from its head chunk.
+
+// Live (non-zombie) user keys stored in `level`, ascending.
+std::vector<Key> keys_at_level(const Gfsl& sl, int level) {
+  std::vector<Key> out;
+  for (const ChunkView& ch : GfslInspector(sl).level_chain(level, nullptr)) {
+    if (ch.lock == kZombie) continue;
+    for (const KV kv : ch.data) {
+      if (kv_key(kv) != KEY_NEG_INF) out.push_back(kv_key(kv));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+bool at_any_level(const Gfsl& sl, Key k) {
+  for (int l = 0; l < Gfsl::kMaxLevels; ++l) {
+    const std::vector<Key> keys = keys_at_level(sl, l);
+    if (std::binary_search(keys.begin(), keys.end(), k)) return true;
+    if (keys.empty() && l > 0) break;
+  }
+  return false;
+}
+
+// Device reads per op of one seeded single-team 20/20/60 stream over a
+// half-prefilled key range, with the index armed or detached.
+double update_mix_reads_per_op(bool armed) {
+  constexpr std::uint64_t kRange = 12'000;
+  constexpr int kOps = 4'000;
+  device::DeviceMemory mem;
+  std::unique_ptr<ForesightIndex> foresight;
+  if (armed) foresight = std::make_unique<ForesightIndex>(1u << 14);
+  GfslConfig cfg;
+  cfg.team_size = 8;
+  cfg.pool_chunks = 1u << 14;
+  Gfsl sl(cfg, &mem, nullptr, nullptr, nullptr, nullptr, nullptr,
+          foresight.get());
+  Team team(8, 0, 5);
+
+  Pairs prefill;
+  for (Key k = 2; k <= static_cast<Key>(kRange); k += 2) {
+    prefill.emplace_back(k, value_of(k));
+  }
+  sl.bulk_load(prefill);
+  sl.foresight_prime(team);  // no-op when detached
+  EXPECT_GE(sl.validate(/*strict=*/true).height, 3)
+      << "too shallow for upper-level walks to cost anything";
+
+  mem.reset_stats();
+  Xoshiro256ss rng(0xC11F);
+  for (int i = 0; i < kOps; ++i) {
+    apply_op(sl, team, random_op(rng, kRange, /*ins=*/20, /*del=*/20));
+  }
+  const auto rep = sl.validate(/*strict=*/true);
+  EXPECT_TRUE(rep.ok) << rep.error;
+  return static_cast<double>(mem.snapshot().reads()) / kOps;
+}
+
+TEST(ForesightUpperPath, ArmedUpdateMixReadsNoMoreThanDetached) {
+  const double detached = update_mix_reads_per_op(/*armed=*/false);
+  const double armed = update_mix_reads_per_op(/*armed=*/true);
+  EXPECT_GT(detached, 0.0);
+  EXPECT_LE(armed, detached)
+      << "hinted updates walk upper levels from their heads (the foresight "
+         "cliff): armed "
+      << armed << " reads/op vs detached " << detached;
+}
+
+TEST(ForesightUpperPath, HintedEraseOfRaisedKeyLeavesItAtNoLevel) {
+  device::DeviceMemory mem;
+  ForesightIndex foresight(1u << 12);
+  GfslConfig cfg;
+  cfg.team_size = 8;
+  cfg.pool_chunks = 1u << 12;
+  Gfsl sl(cfg, &mem, nullptr, nullptr, nullptr, nullptr, nullptr, &foresight);
+  Team team(8, 0, 5);
+
+  sl.bulk_load(ascending_pairs(1, 3000));
+  sl.foresight_prime(team);
+  const std::vector<Key> raised = keys_at_level(sl, 2);
+  ASSERT_GE(raised.size(), 4u) << "no keys raised to level 2";
+
+  // Every other level-2 key: far enough apart that no erase's merge
+  // zombifies the chunk the next erase's hint names.
+  std::vector<Key> victims;
+  for (std::size_t i = 0; i < raised.size(); i += 2) {
+    victims.push_back(raised[i]);
+  }
+  obs::MetricsShard shard;
+  team.set_metrics(&shard);
+  for (const Key k : victims) ASSERT_TRUE(sl.erase(team, k)) << "key " << k;
+  team.set_metrics(nullptr);
+  EXPECT_EQ(shard.counter(obs::kForesightHits), victims.size())
+      << "some erase fell back to the classic descent — test is inert";
+
+  for (const Key k : victims) {
+    EXPECT_FALSE(at_any_level(sl, k)) << "key " << k << " survived somewhere";
+  }
+  const auto rep = sl.validate(/*strict=*/true);
+  EXPECT_TRUE(rep.ok) << rep.error;
+  Pairs want = ascending_pairs(1, 3000);
+  want.erase(std::remove_if(want.begin(), want.end(),
+                            [&](const std::pair<Key, Value>& p) {
+                              return std::binary_search(
+                                  victims.begin(), victims.end(), p.first);
+                            }),
+             want.end());
+  EXPECT_EQ(sl.collect(), want);
+}
+
+TEST(ForesightUpperPath, HintedSplitInsertLandsRaisedKeyInLevelOne) {
+  device::DeviceMemory mem;
+  ForesightIndex foresight(1u << 12);
+  GfslConfig cfg;
+  cfg.team_size = 8;
+  cfg.pool_chunks = 1u << 12;  // p_chunk = 1: every split raises
+  Gfsl sl(cfg, &mem, nullptr, nullptr, nullptr, nullptr, nullptr, &foresight);
+  Team team(8, 0, 5);
+
+  Pairs even;
+  for (Key k = 2; k <= 4000; k += 2) even.emplace_back(k, value_of(k));
+  sl.bulk_load(even);
+  sl.foresight_prime(team);
+
+  // Fill the gaps of one region one key at a time; bulk-loaded chunks are
+  // 3/4 full, so every few inserts split a bottom chunk and raise.
+  int splits = 0;
+  obs::MetricsShard shard;
+  team.set_metrics(&shard);
+  int inserts = 0;
+  for (Key k = 1001; k <= 1201; k += 2, ++inserts) {
+    const std::vector<Key> before = keys_at_level(sl, 1);
+    ASSERT_TRUE(sl.insert(team, k, value_of(k))) << "key " << k;
+    const std::vector<Key> after = keys_at_level(sl, 1);
+    std::vector<Key> added;
+    std::set_difference(after.begin(), after.end(), before.begin(),
+                        before.end(), std::back_inserter(added));
+    if (added.empty()) continue;
+    ++splits;
+    // keyForNextLevel at level 0 raises max(k, first key of the new chunk).
+    ASSERT_EQ(added.size(), 1u) << "key " << k;
+    EXPECT_GE(added[0], k);
+    EXPECT_TRUE(sl.contains(team, added[0])) << "raised key not at level 0";
+  }
+  team.set_metrics(nullptr);
+  EXPECT_GT(splits, 10) << "no split raised a key — test is inert";
+  // One consult per insert plus one per raised-key contains() check.
+  EXPECT_EQ(shard.counter(obs::kForesightHits),
+            static_cast<std::uint64_t>(inserts + splits))
+      << "some op fell back to the classic descent — test is inert";
+
+  const auto rep = sl.validate(/*strict=*/true);
+  EXPECT_TRUE(rep.ok) << rep.error;
+}
+
+// Two scheduled teams race a hinted erase of each key against the key's
+// other updates.  Team 1 appends ascending keys past the prefill — each is
+// the structure's maximum, so a split raises the inserted key itself, under
+// its own bottom lock — and erases each victim two appends later.  Team 0
+// retries a hinted erase of each victim until it wins or team 1 has erased
+// it.  So team 0's bottom walk can find the victim while team 1 is still
+// raising it (the fill, which runs after team 0 gets the bottom lock, must
+// see the new upper levels), or team 1 can erase the victim between team
+// 0's walk and its lock.  Team 0 also runs hinted inserts into the prefill,
+// whose splits raise and fill concurrently.  Every interleaving must erase
+// each victim exactly once, lose no insert, and leave no victim at any
+// level.
+TEST(ForesightUpperPath, ScheduledRaceBetweenHintedWalkAndFill) {
+  constexpr Key kPrefillMax = 200;
+  constexpr int kKeys = 48;
+  std::vector<std::uint64_t> wins(2);  // erases won per team, all seeds
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    device::DeviceMemory mem;
+    device::EpochManager epochs;
+    sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic,
+                               seed, 2);
+    ForesightIndex foresight(1u << 12, /*stride=*/1, kNeverRepublish);
+    GfslConfig cfg;
+    cfg.team_size = 8;
+    cfg.pool_chunks = 1u << 12;  // p_chunk = 1: every split raises
+    Gfsl sl(cfg, &mem, &sched, nullptr, &epochs, nullptr, nullptr,
+            &foresight);
+
+    Pairs prefill;
+    for (Key k = 4; k <= kPrefillMax; k += 4) {
+      prefill.emplace_back(k, value_of(k));
+    }
+    sl.bulk_load(prefill);
+    {
+      Team primer(8, 0, 5);  // not yet entered: runs unscheduled
+      sl.foresight_prime(primer);
+    }
+
+    std::vector<Key> victims;  // team 1 inserts, both teams erase
+    std::vector<Key> kept;     // team 1 inserts between victims
+    std::vector<Key> gaps;     // team 0 inserts into the prefill
+    for (int i = 0; i < kKeys; ++i) {
+      victims.push_back(kPrefillMax + 10 + 3 * i);
+      kept.push_back(kPrefillMax + 11 + 3 * i);
+      gaps.push_back(1 + 4 * i);
+    }
+    const auto n = static_cast<std::size_t>(kKeys);
+    std::vector<std::vector<bool>> erased(2, std::vector<bool>(n));
+    std::vector<bool> victim_ok(n), kept_ok(n), gap_ok(n);
+    std::atomic<int> t1_erased_upto{-1};  // highest victim team 1 erased
+    std::uint64_t hits0 = 0;
+
+    std::thread t1([&] {
+      Team team(8, 1, 6);
+      sched.enter(1);
+      auto erase_victim = [&](int j) {
+        erased[1][static_cast<std::size_t>(j)] = sl.erase(team, victims[j]);
+        t1_erased_upto.store(j);
+      };
+      for (int i = 0; i < kKeys; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        victim_ok[u] = sl.insert(team, victims[u], value_of(victims[u]));
+        kept_ok[u] = sl.insert(team, kept[u], value_of(kept[u]));
+        if (i >= 2) erase_victim(i - 2);
+      }
+      erase_victim(kKeys - 2);
+      erase_victim(kKeys - 1);
+      sched.leave(1);
+    });
+    std::thread t0([&] {
+      Team team(8, 0, 5);
+      obs::MetricsShard shard;
+      team.set_metrics(&shard);
+      sched.enter(0);
+      for (int i = 0; i < kKeys; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        bool ok = false;
+        do {
+          ok = sl.erase(team, victims[u]);
+        } while (!ok && t1_erased_upto.load() < i);
+        erased[0][u] = ok;
+        gap_ok[u] = sl.insert(team, gaps[u], value_of(gaps[u]));
+      }
+      sched.leave(0);
+      team.set_metrics(nullptr);
+      hits0 = shard.counter(obs::kForesightHits);
+    });
+    t0.join();
+    t1.join();
+
+    EXPECT_GT(hits0, 0u) << "seed " << seed << ": nothing ran hinted";
+    std::map<Key, Value> want(prefill.begin(), prefill.end());
+    for (std::size_t u = 0; u < n; ++u) {
+      EXPECT_TRUE(victim_ok[u]) << "seed " << seed << " key " << victims[u];
+      EXPECT_TRUE(kept_ok[u]) << "seed " << seed << " key " << kept[u];
+      EXPECT_TRUE(gap_ok[u]) << "seed " << seed << " key " << gaps[u];
+      EXPECT_NE(erased[0][u], erased[1][u])
+          << "seed " << seed << ": key " << victims[u]
+          << " must be erased exactly once";
+      EXPECT_FALSE(at_any_level(sl, victims[u]))
+          << "seed " << seed << ": key " << victims[u] << " survived";
+      ++wins[erased[0][u] ? 0 : 1];
+      want[kept[u]] = value_of(kept[u]);
+      want[gaps[u]] = value_of(gaps[u]);
+    }
+    EXPECT_EQ(sl.collect(), Pairs(want.begin(), want.end()))
+        << "seed " << seed;
+    const auto rep = sl.validate(/*strict=*/true);
+    EXPECT_TRUE(rep.ok) << "seed " << seed << ": " << rep.error;
+  }
+  // Both teams won erases: the race went both ways across the seeds.
+  EXPECT_GT(wins[0], 0u);
+  EXPECT_GT(wins[1], 0u);
 }
 
 // ---------------------------------------------------------------------------

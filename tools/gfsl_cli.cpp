@@ -19,9 +19,10 @@
 //   --batch-size N                  kernel-style batched dispatch with N ops
 //                                   per launch (gfsl only; 0 = per-op) [0]
 //   --foresight                     attach a ForesightIndex (DESIGN.md §14):
-//                                   point ops and cold batch descents jump to
-//                                   a hinted bottom chunk; hit/stale counters
-//                                   land in --metrics-json (gfsl only)
+//                                   per-op point ops jump to a hinted bottom
+//                                   chunk (batched dispatch keeps its cursor);
+//                                   hit/stale counters land in --metrics-json
+//                                   (gfsl only)
 //   --snapshot-scan                 attach a SnapshotManager to the detail run
 //                                   and drive a concurrent scanner thread
 //                                   through snapshot() + scan_at(); scan
@@ -422,6 +423,11 @@ int main(int argc, char** argv) {
                                 : 0.0)});
     t.add_row({"epoch pins", std::to_string(b.epoch_pins)});
   }
+  if (setup.foresight) {
+    // Read from the index itself: the priming rebuild runs on a team with
+    // no metrics shard, so the shard counter would miss it.
+    t.add_row({"foresight rebuilds", std::to_string(detail.foresight_rebuilds)});
+  }
   if (setup.foresight && detail_setup.metrics != nullptr) {
     // Hint-path effectiveness of the one armed detail run.
     const obs::MetricsShard all = metrics.merged();
@@ -433,8 +439,6 @@ int main(int argc, char** argv) {
                fmt_pct(consults > 0.0 ? hits / consults : 0.0)});
     t.add_row({"foresight stale hints",
                std::to_string(all.counter(obs::kForesightStaleHints))});
-    t.add_row({"foresight rebuilds",
-               std::to_string(all.counter(obs::kForesightRebuilds))});
   }
   if (snapshot_scan) {
     t.add_row({"snapshot scans", std::to_string(detail.snapshot_scans)});
