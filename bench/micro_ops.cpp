@@ -9,8 +9,7 @@
 #include <memory>
 
 #include "baseline/mc_skiplist.h"
-#include "core/gfsl.h"
-#include "device/device_memory.h"
+#include "harness/rig.h"
 #include "simt/team.h"
 
 namespace {
@@ -38,29 +37,22 @@ void BM_Shfl(benchmark::State& state) {
 BENCHMARK(BM_Shfl);
 
 struct GfslBench {
-  GfslBench(int team_size, Key prefill, bool with_epochs = false)
-      : team(team_size, 0, 1) {
-    core::GfslConfig cfg;
-    cfg.team_size = team_size;
-    cfg.pool_chunks = 1u << 16;
-    if (with_epochs) epochs = std::make_unique<device::EpochManager>();
-    sl = std::make_unique<core::Gfsl>(cfg, &mem, nullptr, nullptr,
-                                      epochs.get());
+  GfslBench(int team_size, Key prefill, const harness::Attach& attach = {})
+      : rig({.team_size = team_size, .pool_chunks = 1u << 16}, attach),
+        team(team_size, 0, 1) {
     std::vector<std::pair<Key, Value>> pairs;
     for (Key k = 1; k <= prefill; ++k) pairs.emplace_back(k * 2, k);
-    sl->bulk_load(pairs);
+    rig->bulk_load(pairs);
   }
-  device::DeviceMemory mem;
-  std::unique_ptr<device::EpochManager> epochs;
+  harness::Rig rig;
   simt::Team team;
-  std::unique_ptr<core::Gfsl> sl;
 };
 
 void BM_GfslContains(benchmark::State& state) {
   GfslBench b(static_cast<int>(state.range(0)), 10'000);
   Key k = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
+    benchmark::DoNotOptimize(b.rig->contains(b.team, k));
     k = (k % 20'000) + 1;
   }
 }
@@ -70,8 +62,8 @@ void BM_GfslInsertErase(benchmark::State& state) {
   GfslBench b(32, 10'000);
   Key k = 50'001;
   for (auto _ : state) {
-    b.sl->insert(b.team, k, 0);
-    b.sl->erase(b.team, k);
+    b.rig->insert(b.team, k, 0);
+    b.rig->erase(b.team, k);
     ++k;
   }
 }
@@ -83,11 +75,11 @@ BENCHMARK(BM_GfslInsertErase);
 // the fault-free EBR overhead (DESIGN.md §9 budgets it within noise for
 // reads and a few percent for updates).
 void BM_GfslInsertEraseWithEpochs(benchmark::State& state) {
-  GfslBench b(32, 10'000, /*with_epochs=*/true);
+  GfslBench b(32, 10'000, harness::Attach{.epochs = true});
   Key k = 50'001;
   for (auto _ : state) {
-    b.sl->insert(b.team, k, 0);
-    b.sl->erase(b.team, k);
+    b.rig->insert(b.team, k, 0);
+    b.rig->erase(b.team, k);
     ++k;
   }
 }
@@ -95,10 +87,10 @@ BENCHMARK(BM_GfslInsertEraseWithEpochs);
 
 void BM_GfslContainsWithEpochs(benchmark::State& state) {
   GfslBench b(static_cast<int>(state.range(0)), 10'000,
-              /*with_epochs=*/true);
+              harness::Attach{.epochs = true});
   Key k = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
+    benchmark::DoNotOptimize(b.rig->contains(b.team, k));
     k = (k % 20'000) + 1;
   }
 }
@@ -106,10 +98,10 @@ BENCHMARK(BM_GfslContainsWithEpochs)->Arg(16)->Arg(32);
 
 void BM_GfslContainsNoAccounting(benchmark::State& state) {
   GfslBench b(32, 10'000);
-  b.mem.set_accounting(false);
+  b.rig.mem().set_accounting(false);
   Key k = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
+    benchmark::DoNotOptimize(b.rig->contains(b.team, k));
     k = (k % 20'000) + 1;
   }
 }
@@ -139,7 +131,7 @@ void BM_GfslScan(benchmark::State& state) {
   std::vector<std::pair<Key, Value>> out;
   for (auto _ : state) {
     out.clear();
-    benchmark::DoNotOptimize(b.sl->scan(b.team, lo, lo + width, out));
+    benchmark::DoNotOptimize(b.rig->scan(b.team, lo, lo + width, out));
     lo = (lo % 30'000) + 2;
   }
   state.SetItemsProcessed(state.iterations() * (width / 2));
@@ -149,7 +141,7 @@ BENCHMARK(BM_GfslScan)->Arg(64)->Arg(1024);
 void BM_GfslValidate(benchmark::State& state) {
   GfslBench b(32, static_cast<Key>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->validate().ok);
+    benchmark::DoNotOptimize(b.rig->validate().ok);
   }
 }
 BENCHMARK(BM_GfslValidate)->Arg(1'000)->Arg(10'000);
@@ -168,7 +160,7 @@ void BM_BulkLoad(benchmark::State& state) {
   const auto n = static_cast<Key>(state.range(0));
   for (auto _ : state) {
     GfslBench b(32, n);
-    benchmark::DoNotOptimize(b.sl->size());
+    benchmark::DoNotOptimize(b.rig->size());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

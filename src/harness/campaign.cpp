@@ -12,12 +12,8 @@
 #include <unistd.h>
 
 #include "common/random.h"
-#include "core/gfsl.h"
-#include "device/device_memory.h"
-#include "device/epoch.h"
-#include "device/persist.h"
 #include "harness/report.h"
-#include "sched/lease.h"
+#include "harness/rig.h"
 #include "model/cost_model.h"
 #include "obs/metrics.h"
 #include "simt/team.h"
@@ -33,17 +29,6 @@ StructureSetup setup_from_scale(const Scale& sc, int team_size) {
   s.num_workers = static_cast<int>(sc.teams);
   s.warmup_ops = std::min<std::uint64_t>(sc.ops / 4, 20'000);
   return s;
-}
-
-WorkloadConfig make_workload(const Mix& mix, std::uint64_t range,
-                             std::uint64_t ops, std::uint64_t seed) {
-  WorkloadConfig wl;
-  wl.mix = mix;
-  wl.key_range = range;
-  wl.num_ops = ops;
-  wl.prefill = default_prefill(mix);
-  wl.seed = seed;
-  return wl;
 }
 
 void print_scale_banner(const Scale& sc) {
@@ -423,42 +408,18 @@ struct ChurnOutcome {
   double host_kops = 0.0;  // mean over completed slices
 };
 
-ChurnOutcome run_churn(const ChurnParams& p, bool with_epochs, Table* t) {
-  device::DeviceMemory mem;
-  device::EpochManager epochs;
-  core::GfslConfig cfg;
-  cfg.team_size = p.team_size;
-  cfg.pool_chunks = p.pool_chunks;
-  core::Gfsl sl(cfg, &mem, nullptr, nullptr, with_epochs ? &epochs : nullptr);
-  const char* mode = with_epochs ? "ebr" : "leak";
+ChurnOutcome run_churn(const ChurnParams& p, const Attach& attach, Table* t) {
+  Rig rig({.team_size = p.team_size, .pool_chunks = p.pool_chunks}, attach);
+  core::Gfsl& sl = rig.gfsl();
+  const device::EpochManager* epochs = rig.epochs();
+  const char* mode = epochs != nullptr ? "ebr" : "leak";
   ChurnOutcome out;
   double kops_sum = 0.0;
 
   for (std::uint64_t s = 0; s < p.slices; ++s) {
-    std::atomic<int> oom{0};
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    for (int w = 0; w < p.workers; ++w) {
-      threads.emplace_back([&, w] {
-        simt::Team team(p.team_size, w, 3);
-        Xoshiro256ss rng(derive_seed(p.seed + s, static_cast<std::uint64_t>(w)));
-        const std::uint64_t n =
-            p.ops_per_slice / static_cast<std::uint64_t>(p.workers);
-        try {
-          for (std::uint64_t i = 0; i < n; ++i) {
-            const Key k = 1 + static_cast<Key>(rng.below(p.key_range));
-            if (rng.below(2) == 0) {
-              sl.insert(team, k, k);
-            } else {
-              sl.erase(team, k);
-            }
-          }
-        } catch (const std::bad_alloc&) {
-          oom.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
+    const int oom = run_churn_storm(sl, p.workers, p.ops_per_slice,
+                                    p.key_range, p.seed + s);
     const double sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -466,17 +427,17 @@ ChurnOutcome run_churn(const ChurnParams& p, bool with_epochs, Table* t) {
 
     t->add_row({mode, std::to_string(s + 1), fmt(kops),
                 std::to_string(sl.chunks_allocated()),
-                std::to_string(with_epochs ? epochs.limbo_total() : 0),
+                std::to_string(epochs != nullptr ? epochs->limbo_total() : 0),
                 std::to_string(sl.arena().free_count()),
                 std::to_string(sl.chunks_reclaimed()),
-                oom.load() != 0 ? "POOL EXHAUSTED" : ""});
+                oom != 0 ? "POOL EXHAUSTED" : ""});
     kops_sum += kops;
     out.slices_survived = s + 1;
     out.final_in_use = sl.chunks_allocated();
-    out.final_limbo = with_epochs ? epochs.limbo_total() : 0;
+    out.final_limbo = epochs != nullptr ? epochs->limbo_total() : 0;
     out.final_free = sl.arena().free_count();
     out.reclaimed = sl.chunks_reclaimed();
-    if (oom.load() != 0) break;  // leaking mode: no point continuing
+    if (oom != 0) break;  // leaking mode: no point continuing
   }
   out.host_kops =
       out.slices_survived ? kops_sum / static_cast<double>(out.slices_survived)
@@ -515,8 +476,8 @@ BenchReport run_steady_state_churn(const CampaignOptions& opts) {
   for (int r = 0; r < reps; ++r) {
     ChurnParams pr = p;
     pr.seed = derive_seed(p.seed, static_cast<std::uint64_t>(r) + 1);
-    const auto leak = run_churn(pr, /*with_epochs=*/false, &t);
-    const auto ebr = run_churn(pr, /*with_epochs=*/true, &t);
+    const auto leak = run_churn(pr, Attach{}, &t);
+    const auto ebr = run_churn(pr, Attach{.epochs = true}, &t);
     leak_slices.push_back(static_cast<double>(leak.slices_survived));
     ebr_in_use.push_back(static_cast<double>(ebr.final_in_use));
     ebr_reclaimed.push_back(static_cast<double>(ebr.reclaimed));
@@ -554,19 +515,18 @@ BenchReport run_steady_state_churn(const CampaignOptions& opts) {
 // campaign that gates does so on the per-rep ratios against its first mode,
 // which cancel the machine out.
 
-/// What an attach mode arms on the fixture (a bit set).
+/// What an attach mode arms on the fixture's team (a bit set).
 enum Arm : unsigned {
   kArmMetrics = 1u << 0,         // metrics shard on the team
   kArmFlightRecorder = 1u << 1,  // clockless TeamTrace ring on the team
-  kArmLeases = 1u << 2,          // in-memory LeaseTable
-  kArmPersist = 1u << 3,         // file-backed PersistRegion + its LeaseTable
-  kArmCrc32c = 1u << 4,          // IntegritySidecar with CRC32C seals
-  kArmXorFold = 1u << 5,         // IntegritySidecar with xor-fold seals
 };
 
 struct AttachMode {
   std::string key;  // metric-name suffix: "contains_ns.<key>"
   unsigned arms = 0;
+  /// Structure sidecars; an armed persist region gets the campaign's
+  /// per-process path, created fresh for every fixture.
+  Attach attach = {};
 };
 
 struct OverheadCampaign {
@@ -581,47 +541,25 @@ struct OverheadCampaign {
   bool time_scrub = false;
 };
 
+Attach at_path(Attach a, const std::string& region_path) {
+  if (a.persist) a.persist->path = region_path;
+  return a;
+}
+
 struct OverheadFixture {
-  OverheadFixture(unsigned arms, const std::string& region_path)
-      : team(32, 0, 1) {
-    core::GfslConfig cfg;
-    cfg.team_size = 32;
-    cfg.pool_chunks = 1u << 16;
-    if (arms & kArmPersist) {
-      region = std::make_unique<device::PersistRegion>(
-          region_path, device::PersistRegion::Mode::kCreate,
-          device::PersistGeometry{32, cfg.pool_chunks});
-    }
-    if (arms & (kArmLeases | kArmPersist)) {
-      leases = std::make_unique<sched::LeaseTable>();
-      if (region) {
-        leases->attach(
-            static_cast<std::atomic<std::uint32_t>*>(region->lease_slots()),
-            /*adopt=*/false);
-      }
-    }
-    if (arms & (kArmCrc32c | kArmXorFold)) {
-      sidecar = std::make_unique<core::IntegritySidecar>(
-          (arms & kArmCrc32c) ? core::SealAlgo::kCrc32c
-                              : core::SealAlgo::kXorFold);
-    }
-    sl = std::make_unique<core::Gfsl>(cfg, &mem, nullptr, leases.get(),
-                                      nullptr, region.get(), nullptr, nullptr,
-                                      sidecar.get());
-    if (arms & kArmMetrics) team.set_metrics(&metrics.shard(0));
-    if (arms & kArmFlightRecorder) team.set_trace(&ring);
+  OverheadFixture(const AttachMode& mode, const std::string& region_path)
+      : rig({.team_size = 32, .pool_chunks = 1u << 16},
+            at_path(mode.attach, region_path)) {
+    if (mode.arms & kArmMetrics) team.set_metrics(&metrics.shard(0));
+    if (mode.arms & kArmFlightRecorder) team.set_trace(&ring);
     std::vector<std::pair<Key, Value>> pairs;
     for (Key k = 1; k <= 10'000; ++k) pairs.emplace_back(k * 2, k);
-    sl->bulk_load(pairs);
+    rig->bulk_load(pairs);
   }
-  device::DeviceMemory mem;
-  simt::Team team;
+  Rig rig;
+  simt::Team team{32, 0, 1};
   obs::MetricsRegistry metrics{1};
   simt::TeamTrace ring{256, /*timestamps=*/false};
-  std::unique_ptr<device::PersistRegion> region;
-  std::unique_ptr<sched::LeaseTable> leases;
-  std::unique_ptr<core::IntegritySidecar> sidecar;
-  std::unique_ptr<core::Gfsl> sl;
 };
 
 double ns_since(std::chrono::steady_clock::time_point t0, std::uint64_t ops) {
@@ -631,14 +569,14 @@ double ns_since(std::chrono::steady_clock::time_point t0, std::uint64_t ops) {
          static_cast<double>(ops);
 }
 
-double contains_ns(unsigned arms, std::uint64_t iters,
+double contains_ns(const AttachMode& mode, std::uint64_t iters,
                    const std::string& region_path) {
-  OverheadFixture f(arms, region_path);
+  OverheadFixture f(mode, region_path);
   Key k = 1;
   bool sink = false;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) {
-    sink ^= f.sl->contains(f.team, k);
+    sink ^= f.rig->contains(f.team, k);
     k = (k % 20'000) + 1;
   }
   const double ns = ns_since(t0, iters);
@@ -646,14 +584,14 @@ double contains_ns(unsigned arms, std::uint64_t iters,
   return ns;
 }
 
-double insert_erase_ns(unsigned arms, std::uint64_t iters,
+double insert_erase_ns(const AttachMode& mode, std::uint64_t iters,
                        const std::string& region_path) {
-  OverheadFixture f(arms, region_path);
+  OverheadFixture f(mode, region_path);
   Key k = 50'001;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) {
-    f.sl->insert(f.team, k, 0);
-    f.sl->erase(f.team, k);
+    f.rig->insert(f.team, k, 0);
+    f.rig->erase(f.team, k);
     ++k;
   }
   return ns_since(t0, iters * 2);  // two structure ops per iteration
@@ -661,9 +599,11 @@ double insert_erase_ns(unsigned arms, std::uint64_t iters,
 
 /// Quiescent full-pool scrub of an undamaged structure, per scanned chunk.
 double scrub_ns_per_chunk(const std::string& region_path) {
-  OverheadFixture f(kArmCrc32c, region_path);
+  const AttachMode crc32c{
+      "crc32c", 0, Attach{.integrity = Attach::Integrity::kCrc32c}};
+  OverheadFixture f(crc32c, region_path);
   const auto t0 = std::chrono::steady_clock::now();
-  const core::ScrubReport rep = f.sl->scrub_pass(f.team);
+  const core::ScrubReport rep = f.rig->scrub_pass(f.team);
   return rep.chunks_scanned == 0 ? 0.0 : ns_since(t0, rep.chunks_scanned);
 }
 
@@ -691,9 +631,8 @@ BenchReport run_overhead(const OverheadCampaign& oc,
   std::vector<std::vector<double>> ns_c(n), ns_ie(n);
   for (int r = 0; r < reps; ++r) {
     for (std::size_t mi = 0; mi < n; ++mi) {
-      ns_c[mi].push_back(contains_ns(oc.modes[mi].arms, iters, region_path));
-      ns_ie[mi].push_back(
-          insert_erase_ns(oc.modes[mi].arms, iters, region_path));
+      ns_c[mi].push_back(contains_ns(oc.modes[mi], iters, region_path));
+      ns_ie[mi].push_back(insert_erase_ns(oc.modes[mi], iters, region_path));
     }
   }
 
@@ -785,14 +724,9 @@ struct ScanMixedOutcome {
 };
 
 ScanMixedOutcome run_scan_mixed_once(const ScanMixedParams& p, bool mvcc) {
-  device::DeviceMemory mem;
-  device::EpochManager epochs;
-  std::unique_ptr<core::SnapshotManager> snaps;
-  if (mvcc) snaps = std::make_unique<core::SnapshotManager>(p.pool_chunks);
-  core::GfslConfig cfg;
-  cfg.team_size = p.team_size;
-  cfg.pool_chunks = p.pool_chunks;
-  core::Gfsl sl(cfg, &mem, nullptr, nullptr, &epochs, nullptr, snaps.get());
+  Rig rig({.team_size = p.team_size, .pool_chunks = p.pool_chunks},
+          Attach{.epochs = true, .snapshots = mvcc});
+  core::Gfsl& sl = rig.gfsl();
   std::vector<std::pair<Key, Value>> pairs;
   for (Key k = 2; k < static_cast<Key>(p.key_range); k += 2) {
     pairs.emplace_back(k, k);
@@ -974,7 +908,7 @@ BenchReport run_foresight_pointops(const CampaignOptions& opts) {
       auto setup = setup_from_scale(sc);
       const std::string key = mix_key(mix) + "." + range_key(range);
 
-      setup.foresight = false;
+      setup.attach.foresight = false;
       const auto base = repeat_gfsl(wl, setup, reps);
       const auto based = measure_gfsl(wl, setup);
       t.add_row({"detached", fmt_ci(base.mops.mean, base.mops.ci95_half),
@@ -985,7 +919,7 @@ BenchReport run_foresight_pointops(const CampaignOptions& opts) {
       add_metric(report, "detached_chunks_per_trav." + key, "chunks",
                  Better::kLower, true, {based.avg_chunks_per_traversal});
 
-      setup.foresight = true;
+      setup.attach.foresight = true;
       const auto fs = repeat_gfsl(wl, setup, reps);
       obs::MetricsRegistry reg(setup.num_workers);
       setup.metrics = &reg;
@@ -1051,7 +985,7 @@ const std::vector<Campaign>& campaigns() {
            "armed-but-idle flight recorder must stay within noise of "
            "detached",
            "",
-           {{"detached", 0},
+           {{"detached"},
             {"metrics", kArmMetrics},
             {"flight_recorder", kArmFlightRecorder}},
            /*gate_ratios=*/false,
@@ -1066,7 +1000,9 @@ const std::vector<Campaign>& campaigns() {
            "the fault-free detached path pays nothing (persist_point() is a "
            "single pointer test); the armed ratio is the price of durability "
            "and must not creep.",
-           {{"detached", 0}, {"leased", kArmLeases}, {"armed", kArmPersist}},
+           {{"detached"},
+            {"leased", 0, Attach{.leases = true}},
+            {"armed", 0, Attach{.persist = Attach::Persist{}}}},
            /*gate_ratios=*/true,
            /*time_scrub=*/false}),
       // Seals restamped at every lock release and verified on the checked-
@@ -1079,7 +1015,9 @@ const std::vector<Campaign>& campaigns() {
            "the detached path pays nothing (every seal call starts with one "
            "null test); the armed ratios are the price of tamper-evident "
            "chunks and must not creep.",
-           {{"detached", 0}, {"crc32c", kArmCrc32c}, {"xorfold", kArmXorFold}},
+           {{"detached"},
+            {"crc32c", 0, Attach{.integrity = Attach::Integrity::kCrc32c}},
+            {"xorfold", 0, Attach{.integrity = Attach::Integrity::kXorFold}}},
            /*gate_ratios=*/true,
            /*time_scrub=*/true}),
       {"scan_mixed",

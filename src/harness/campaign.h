@@ -53,9 +53,6 @@ BenchReport run_campaign(const Campaign& c, const CampaignOptions& opts);
 
 StructureSetup setup_from_scale(const Scale& sc, int team_size = 32);
 
-WorkloadConfig make_workload(const Mix& mix, std::uint64_t range,
-                             std::uint64_t ops, std::uint64_t seed);
-
 void print_scale_banner(const Scale& sc);
 
 /// Stable metric-name fragment for a mix ("mix_10_10_80") or range ("r10000").

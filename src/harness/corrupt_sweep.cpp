@@ -3,22 +3,17 @@
 
 #include <atomic>
 #include <cstdio>
-#include <map>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "common/types.h"
-#include "core/gfsl.h"
-#include "core/integrity.h"
-#include "core/snapshot.h"
-#include "device/device_memory.h"
-#include "device/epoch.h"
-#include "device/persist.h"
+#include "harness/history.h"
 #include "harness/postmortem.h"
+#include "harness/rig.h"
 #include "harness/workload.h"
-#include "sched/lease.h"
 #include "simt/team.h"
 
 namespace gfsl::harness {
@@ -36,26 +31,6 @@ std::string repro(FaultSection s, FaultKind k, std::uint64_t seed) {
          device::fault_kind_name(k) + ":" + std::to_string(seed);
 }
 
-// Sequential reference model.  tests/oracle.h stays test-local; the map is
-// a few lines and this keeps the harness library free of tests/ includes.
-struct Model {
-  std::map<Key, Value> m;
-  bool apply(const Op& op) {
-    switch (op.kind) {
-      case OpKind::Insert:
-        return m.emplace(op.key, op.value).second;
-      case OpKind::Delete:
-        return m.erase(op.key) > 0;
-      case OpKind::Contains:
-        return m.count(op.key) > 0;
-    }
-    return false;
-  }
-  std::vector<std::pair<Key, Value>> collect() const {
-    return {m.begin(), m.end()};
-  }
-};
-
 struct CellCtx {
   const CorruptSweepConfig* cfg = nullptr;
   FaultSection section = FaultSection::kChunkData;
@@ -64,27 +39,29 @@ struct CellCtx {
   CorruptSweepResult* res = nullptr;
 };
 
+GfslConfig gfsl_config(const CorruptSweepConfig& cfg) {
+  return {.team_size = cfg.team_size, .pool_chunks = cfg.pool_chunks};
+}
+
 bool fail_cell(CellCtx& c, const std::string& what, const Gfsl* sl = nullptr) {
   c.res->ok = false;
   c.res->error = what + "\n  repro: " + repro(c.section, c.kind, c.seed);
   if (!c.cfg->postmortem_dir.empty()) {
-    PostmortemContext ctx;
-    ctx.reason = "corruption_unresolved";
-    ctx.detail = what;
-    ctx.gfsl = sl;
-    ctx.info = {{"harness", "corrupt_sweep"},
-                {"section", device::fault_section_name(c.section)},
-                {"kind", device::fault_kind_name(c.kind)},
-                {"seed", std::to_string(c.seed)},
-                {"ops", std::to_string(c.cfg->ops)},
-                {"range", std::to_string(c.cfg->key_range)},
-                {"team_size", std::to_string(c.cfg->team_size)}};
     (void)dump_postmortem(
         c.cfg->postmortem_dir,
         std::string("postmortem_corrupt_") +
             device::fault_section_name(c.section) + "_" +
             device::fault_kind_name(c.kind) + "_" + std::to_string(c.seed),
-        ctx);
+        {.reason = "corruption_unresolved",
+         .detail = what,
+         .gfsl = sl,
+         .info = {{"harness", "corrupt_sweep"},
+                  {"section", device::fault_section_name(c.section)},
+                  {"kind", device::fault_kind_name(c.kind)},
+                  {"seed", std::to_string(c.seed)},
+                  {"ops", std::to_string(c.cfg->ops)},
+                  {"range", std::to_string(c.cfg->key_range)},
+                  {"team_size", std::to_string(c.cfg->team_size)}}});
   }
   return false;
 }
@@ -92,33 +69,28 @@ bool fail_cell(CellCtx& c, const std::string& what, const Gfsl* sl = nullptr) {
 /// Drive the seeded reference workload through `sl` with a single team,
 /// checking every outcome against the model as it goes.  Single-team runs
 /// are sequential, so any divergence here is a harness bug, not corruption.
-bool drive(Gfsl& sl, simt::Team& team, Model& model, std::uint64_t ops,
-           std::uint64_t range, std::uint64_t seed, std::string* err) {
-  WorkloadConfig wl;
-  wl.mix = kMix_20_20_60;  // update-heavy: deep version chains, busy chunks
-  wl.key_range = range;
-  wl.num_ops = ops;
-  wl.seed = seed;
-  for (const Op& op : generate_ops(wl)) {
-    bool got = false;
-    switch (op.kind) {
-      case OpKind::Insert:
-        got = sl.insert(team, op.key, op.value);
-        break;
-      case OpKind::Delete:
-        got = sl.erase(team, op.key);
-        break;
-      case OpKind::Contains:
-        got = sl.contains(team, op.key);
-        break;
+bool drive(Gfsl& sl, SetModel& model, const CorruptSweepConfig& cfg,
+           std::uint64_t seed, std::string* err) {
+  struct Check final : core::BatchOpObserver {
+    SetModel& model;
+    std::string& err;
+    Check(SetModel& m, std::string& e) : model(m), err(e) {}
+    void on_begin(std::uint32_t /*idx*/, const Op& /*op*/) override {}
+    void on_end(std::uint32_t /*idx*/, const Op& op, bool got) override {
+      if (got != model.apply(op) && err.empty()) {
+        err = "pre-injection workload diverged from the model at key " +
+              std::to_string(op.key);
+      }
     }
-    if (got != model.apply(op)) {
-      *err = "pre-injection workload diverged from the model at key " +
-             std::to_string(op.key);
-      return false;
-    }
-  }
-  return true;
+  } check(model, *err);
+  HistoryOptions run;
+  run.observers = {&check};
+  // Update-heavy: deep version chains, busy chunks.
+  (void)run_history(sl, nullptr,
+                    generate_ops(make_workload(kMix_20_20_60, cfg.key_range,
+                                               cfg.ops, seed)),
+                    run);
+  return err->empty();
 }
 
 bool key_in_ranges(Key k, const std::vector<core::LostRange>& lost) {
@@ -131,7 +103,7 @@ bool key_in_ranges(Key k, const std::vector<core::LostRange>& lost) {
 /// Exact-or-reported contents check: every surviving key must carry the
 /// model's value (anything else is a silent wrong answer) and every missing
 /// key must fall inside a reported blast radius.
-bool check_contents(Gfsl& sl, const Model& model,
+bool check_contents(Gfsl& sl, const SetModel& model,
                     const std::vector<core::LostRange>& lost,
                     std::uint64_t* keys_lost, std::string* err) {
   const auto actual = sl.collect();
@@ -167,22 +139,16 @@ bool check_contents(Gfsl& sl, const Model& model,
 
 bool run_chunk_cell(CellCtx& c) {
   const CorruptSweepConfig& cfg = *c.cfg;
-  device::DeviceMemory mem;
-  device::EpochManager epochs;
-  core::SnapshotManager snaps(cfg.pool_chunks);
-  core::IntegritySidecar integrity;
-  GfslConfig gc;
-  gc.team_size = cfg.team_size;
-  gc.pool_chunks = cfg.pool_chunks;
   // Epochs + snapshots attached: bottom-chunk repair restores from the
   // version-record chains, so every key this workload wrote is recoverable.
-  Gfsl sl(gc, &mem, nullptr, nullptr, &epochs, nullptr, &snaps, nullptr,
-          &integrity);
-  simt::Team team(cfg.team_size, 0, 3);
-  Model model;
+  Rig rig(gfsl_config(cfg), Attach{.epochs = true,
+                                   .snapshots = true,
+                                   .integrity = Attach::Integrity::kCrc32c});
+  Gfsl& sl = rig.gfsl();
+  const core::IntegritySidecar& integrity = *rig.integrity();
+  SetModel model;
   std::string err;
-  if (!drive(sl, team, model, cfg.ops, cfg.key_range,
-             derive_seed(cfg.base_seed, c.seed), &err)) {
+  if (!drive(sl, model, cfg, derive_seed(cfg.base_seed, c.seed), &err)) {
     return fail_cell(c, err, &sl);
   }
 
@@ -255,7 +221,7 @@ bool run_chunk_cell(CellCtx& c) {
   // structure must answer exactly like the model, modulo the reported radii.
   for (std::uint64_t k = 1; k <= cfg.key_range; ++k) {
     const Key key = static_cast<Key>(k);
-    const bool got = sl.contains(team, key);
+    const bool got = sl.contains(medic, key);
     const bool want = model.m.count(key) != 0;
     if (got == want) continue;
     if (got) {
@@ -281,29 +247,18 @@ bool run_region_cell(CellCtx& c) {
       "_" + device::fault_kind_name(c.kind) + "_" + std::to_string(c.seed) +
       ".region";
   std::remove(path.c_str());
-  GfslConfig gc;
-  gc.team_size = cfg.team_size;
-  gc.pool_chunks = cfg.pool_chunks;
-  const device::PersistGeometry geom{
-      static_cast<std::uint32_t>(cfg.team_size), cfg.pool_chunks};
-  Model model;
+  const GfslConfig gc = gfsl_config(cfg);
+  SetModel model;
   {  // Phase 1: write a clean reference image.
-    device::DeviceMemory mem;
-    device::PersistRegion region(path, device::PersistRegion::Mode::kCreate,
-                                 geom);
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/false);
-    Gfsl sl(gc, &mem, nullptr, &leases, nullptr, &region);
-    simt::Team team(cfg.team_size, 0, 3);
+    Rig rig(gc, Attach{.persist = Attach::Persist{path}});
+    Gfsl& sl = rig.gfsl();
     std::string err;
-    if (!drive(sl, team, model, cfg.ops, cfg.key_range,
-               derive_seed(cfg.base_seed, c.seed ^ 0xD15Cu), &err)) {
+    if (!drive(sl, model, cfg, derive_seed(cfg.base_seed, c.seed ^ 0xD15Cu),
+               &err)) {
       std::remove(path.c_str());
       return fail_cell(c, err, &sl);
     }
-    region.mark_clean();
+    rig.region()->mark_clean();
   }
   const auto expected = model.collect();
 
@@ -311,7 +266,6 @@ bool run_region_cell(CellCtx& c) {
   std::string err;
   {  // Phase 2: damage the live window, then recover on the same mapping.
     FaultPlane plane;  // outlives every use; stuck addresses stay valid
-    device::DeviceMemory mem;
     device::PersistRegion region(path, device::PersistRegion::Mode::kAttach);
     region.attach_fault_plane(&plane);
     region.arm_fault_sections(plane);
@@ -319,11 +273,10 @@ bool run_region_cell(CellCtx& c) {
     ++c.res->runs;
     if (frep.injected && frep.before != frep.after) ++c.res->injected;
 
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/true);
-    Gfsl sl(gc, &mem, nullptr, &leases, nullptr, &region);
+    // The damaged image is handed over already open: the structure must
+    // first see it in recover().
+    Rig rig(gc, Attach{}, nullptr, &region);
+    Gfsl& sl = rig.gfsl();
     // Accept either outcome of one recovery attempt: a typed refusal (only
     // the superblock section may refuse — every other section must always
     // converge) or a clean recovery whose contents match the closed image
@@ -372,31 +325,24 @@ bool run_dropped_barrier_cell(CellCtx& c) {
       cfg.work_dir + "/corrupt_" + device::fault_section_name(c.section) +
       "_dropbarrier_" + std::to_string(c.seed) + ".region";
   std::remove(path.c_str());
-  GfslConfig gc;
-  gc.team_size = cfg.team_size;
-  gc.pool_chunks = cfg.pool_chunks;
-  Model model;
+  const GfslConfig gc = gfsl_config(cfg);
+  SetModel model;
   bool cell_ok = true;
   std::string err;
   {  // Live run with 1..8 persist barriers silently dropped.  MAP_SHARED
      // loses nothing without a machine crash, so the run must stay clean.
     FaultPlane plane;
     plane.arm_barrier_drops(1 + (c.seed % 8));
-    device::DeviceMemory mem;
     device::PersistRegion region(
         path, device::PersistRegion::Mode::kCreate,
         device::PersistGeometry{static_cast<std::uint32_t>(cfg.team_size),
                                 cfg.pool_chunks});
     region.attach_fault_plane(&plane);
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/false);
-    Gfsl sl(gc, &mem, nullptr, &leases, nullptr, &region);
-    simt::Team team(cfg.team_size, 0, 3);
+    Rig rig(gc, Attach{}, nullptr, &region);
+    Gfsl& sl = rig.gfsl();
     ++c.res->runs;
-    if (!drive(sl, team, model, cfg.ops, cfg.key_range,
-               derive_seed(cfg.base_seed, c.seed ^ 0xD20Bu), &err)) {
+    if (!drive(sl, model, cfg, derive_seed(cfg.base_seed, c.seed ^ 0xD20Bu),
+               &err)) {
       cell_ok = false;
       fail_cell(c, err, &sl);
     } else {
@@ -415,13 +361,8 @@ bool run_dropped_barrier_cell(CellCtx& c) {
     }
   }
   if (cell_ok) {  // Belt and braces: the closed image must still recover.
-    device::DeviceMemory mem;
-    device::PersistRegion region(path, device::PersistRegion::Mode::kAttach);
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/true);
-    Gfsl sl(gc, &mem, nullptr, &leases, nullptr, &region);
+    Rig rig(gc, Attach{.persist = Attach::Persist{path, /*adopt=*/true}});
+    Gfsl& sl = rig.gfsl();
     const auto rec = sl.recover();
     if (!rec.ok) {
       cell_ok = false;
@@ -438,6 +379,24 @@ bool run_dropped_barrier_cell(CellCtx& c) {
 }
 
 }  // namespace
+
+bool parse_corrupt_cell(const std::string& spec, CorruptSweepConfig* cfg) {
+  const auto c1 = spec.find(':');
+  const auto c2 = c1 == std::string::npos ? std::string::npos
+                                          : spec.find(':', c1 + 1);
+  FaultSection section{};
+  FaultKind kind{};
+  if (c2 == std::string::npos ||
+      !device::parse_fault_section(spec.substr(0, c1), &section) ||
+      !device::parse_fault_kind(spec.substr(c1 + 1, c2 - c1 - 1), &kind)) {
+    return false;
+  }
+  cfg->sections = {section};
+  cfg->kinds = {kind};
+  cfg->first_seed = std::strtoull(spec.c_str() + c2 + 1, nullptr, 0);
+  cfg->seeds = 1;
+  return true;
+}
 
 CorruptSweepResult run_corrupt_sweep(const CorruptSweepConfig& cfg,
                                      std::FILE* progress) {

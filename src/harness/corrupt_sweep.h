@@ -77,6 +77,11 @@ struct CorruptSweepResult {
   std::uint64_t barriers_dropped = 0;
 };
 
+/// Narrow `cfg` to the single cell a `SECTION:KIND:SEED` spec names — the
+/// repro form a failing sweep prints.  False (cfg untouched) when the spec
+/// does not parse.
+bool parse_corrupt_cell(const std::string& spec, CorruptSweepConfig* cfg);
+
 /// The full matrix, stopping at the first failing cell.  `progress`, when
 /// non-null, gets one line per (section, kind) cell.
 CorruptSweepResult run_corrupt_sweep(const CorruptSweepConfig& cfg,

@@ -1,97 +1,61 @@
 #include "harness/crash_sweep.h"
 
-#include <atomic>
-#include <thread>
+#include <memory>
+#include <set>
 #include <vector>
 
-#include <memory>
-
-#include "core/gfsl.h"
-#include "core/snapshot.h"
-#include "device/device_memory.h"
 #include "harness/history.h"
 #include "harness/postmortem.h"
 #include "harness/workload.h"
-#include "sched/batch_dispatch.h"
-#include "sched/lease.h"
-#include "sched/step_scheduler.h"
 #include "simt/trace.h"
 
 namespace gfsl::harness {
 
-namespace {
+CrashSweepConfig crash_sweep_config(const Options& opt) {
+  CrashSweepConfig cfg;
+  cfg.workers = static_cast<int>(opt.get_u64("workers", 3));
+  cfg.team_size = static_cast<int>(opt.get_u64("team-size", 8));
+  cfg.ops = opt.get_u64("ops", 96);
+  cfg.key_range = opt.get_u64("range", 48);
+  cfg.victim = static_cast<int>(opt.get_u64("victim", 0));
+  cfg.stride = opt.get_u64("crash-stride", 1);
+  cfg.attach.epochs = opt.get_bool("with-epochs");
+  cfg.attach.snapshots = opt.get_bool("with-snapshots");
+  cfg.attach.foresight = opt.get_bool("with-foresight");
+  cfg.prefill = opt.get_u64("prefill", cfg.key_range / 2);
+  cfg.wl_seed = opt.get_u64("crash-seed", 0xC4A5);
+  cfg.sched_seed = cfg.wl_seed ^ 0x9E3779B97F4A7C15ull;
+  cfg.postmortem_dir = opt.get("postmortem-dir", "");
+  return cfg;
+}
 
-// Bridges execute_shard's per-op hooks into the HistoryLog, and remembers the
-// in-flight op so a TeamKilled unwind can record it as crashed (optional in
-// the linearizability check — recovery may roll it either way).  An op
-// abandoned on pool exhaustion is logged the same way: it began but never
-// produced a response, so "optional" is exactly its contract.
-class HistoryObserver final : public core::BatchOpObserver {
- public:
-  HistoryObserver(HistoryLog& log, int worker) : log_(log), w_(worker) {}
-
-  void on_begin(std::uint32_t /*idx*/, const Op& op) override {
-    cur_ = &op;
-    tick_ = log_.begin_op();
+std::string crash_sweep_flags(const CrashSweepConfig& cfg) {
+  std::string s = "--crash-seed " + std::to_string(cfg.wl_seed) +
+                  " --workers " + std::to_string(cfg.workers) +
+                  " --team-size " + std::to_string(cfg.team_size) +
+                  " --ops " + std::to_string(cfg.ops) + " --range " +
+                  std::to_string(cfg.key_range) + " --victim " +
+                  std::to_string(cfg.victim) + " --crash-stride " +
+                  std::to_string(cfg.stride) + " --prefill " +
+                  std::to_string(cfg.prefill) + attach_flags(cfg.attach);
+  if (!cfg.postmortem_dir.empty()) {
+    s += " --postmortem-dir " + cfg.postmortem_dir;
   }
-  void on_end(std::uint32_t /*idx*/, const Op& op, bool result) override {
-    log_.end_op(w_, tick_, op.kind, op.key, result);
-    cur_ = nullptr;
-  }
-  void on_skipped(std::uint32_t /*idx*/, const Op& op) override {
-    log_.crash_op(w_, tick_, op.kind, op.key);
-    cur_ = nullptr;
-  }
-
-  void record_crash() {
-    if (cur_ != nullptr) {
-      log_.crash_op(w_, tick_, cur_->kind, cur_->key);
-      cur_ = nullptr;
-    }
-  }
-
- private:
-  HistoryLog& log_;
-  int w_;
-  const Op* cur_ = nullptr;
-  std::uint64_t tick_ = 0;
-};
-
-}  // namespace
+  return s;
+}
 
 CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
                             std::uint64_t kill_step,
                             std::uint64_t watchdog_step,
                             obs::MetricsRegistry* reg) {
   CrashRunResult res;
-  device::DeviceMemory mem;
-  sched::LeaseTable leases;
   sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic,
                              cfg.sched_seed, cfg.workers);
-  sched.attach_leases(&leases);
   if (kill_step != UINT64_MAX) sched.kill_at(cfg.victim, kill_step);
   if (watchdog_step != UINT64_MAX) sched.kill_all_at(watchdog_step);
-
-  core::GfslConfig gcfg;
-  gcfg.team_size = cfg.team_size;
-  gcfg.pool_chunks = cfg.pool_chunks;
-  device::EpochManager epochs;
-  std::unique_ptr<core::SnapshotManager> snaps;
-  if (cfg.with_snapshots) {
-    snaps = std::make_unique<core::SnapshotManager>(gcfg.pool_chunks);
-  }
-  std::unique_ptr<core::ForesightIndex> foresight;
-  if (cfg.with_foresight) {
-    // Tiny rebuild threshold: at sweep scale (dozens of ops) a realistic
-    // threshold would never republish, so hints would never be consulted.
-    // Forcing frequent rebuilds puts kill steps inside the walk/publish
-    // window and makes hint consultation the common path.
-    foresight = std::make_unique<core::ForesightIndex>(
-        gcfg.pool_chunks, /*stride=*/1, /*rebuild_threshold=*/1);
-  }
-  core::Gfsl sl(gcfg, &mem, &sched, &leases,
-                cfg.with_epochs ? &epochs : nullptr, /*region=*/nullptr,
-                snaps.get(), foresight.get());
+  Rig rig({.team_size = cfg.team_size, .pool_chunks = cfg.pool_chunks},
+          cfg.attach, &sched);
+  core::Gfsl& sl = rig.gfsl();
 
   // Snapshot-held-across-kill: freeze a bulk-loaded prefill under a snapshot
   // before any scheduled team runs.  Every op of the workload — including
@@ -100,7 +64,7 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
   // the prefill exactly no matter where the victim died.
   std::vector<std::pair<Key, Value>> frozen;
   core::Snapshot held;
-  if (cfg.with_snapshots && cfg.prefill > 0) {
+  if (cfg.attach.snapshots && cfg.prefill > 0) {
     const std::uint64_t span = cfg.key_range > 1 ? cfg.key_range : 2;
     for (std::uint64_t i = 0; i < cfg.prefill; ++i) {
       const Key k = static_cast<Key>(1 + (2 * i) % span);
@@ -111,15 +75,20 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
     held = sl.snapshot();
   }
 
-  WorkloadConfig wl;
-  wl.mix = kMix_20_20_60;  // update-heavy: splits, merges, down-ptr swings
-  wl.key_range = cfg.key_range;
-  wl.num_ops = cfg.ops;
-  wl.seed = cfg.wl_seed;
-  const auto ops = generate_ops(wl);
+  // Update-heavy: splits, merges, down-pointer swings.
+  const auto ops = generate_ops(
+      make_workload(kMix_20_20_60, cfg.key_range, cfg.ops, cfg.wl_seed));
 
   HistoryLog log(cfg.ops / static_cast<std::uint64_t>(cfg.workers) + 8,
                  cfg.workers);
+  HistoryOptions run;
+  run.workers = cfg.workers;
+  run.batched = cfg.batched;
+  run.batch_shard_ops = cfg.batch_shard_ops;
+  run.metrics = reg;
+  std::vector<HistoryRecorder> recorders;
+  for (int w = 0; w < cfg.workers; ++w) recorders.emplace_back(log, w);
+  for (auto& r : recorders) run.observers.push_back(&r);
   // Flight recorder: clockless rings (no steady-clock read per record) for
   // every team plus the medic, armed only when a postmortem sink is set.
   std::vector<std::unique_ptr<simt::TeamTrace>> rings;
@@ -127,118 +96,49 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
     for (int w = 0; w <= cfg.workers; ++w) {
       rings.push_back(
           std::make_unique<simt::TeamTrace>(1024, /*timestamps=*/false));
+      if (w < cfg.workers) run.traces.push_back(rings.back().get());
     }
   }
-  auto dump_failure = [&](const std::string& reason, const std::string& detail,
-                          const core::Gfsl* structure) {
-    if (cfg.postmortem_dir.empty()) return;
-    PostmortemContext ctx;
-    ctx.reason = reason;
-    ctx.detail = detail;
-    ctx.gfsl = structure;
-    ctx.metrics = reg;
-    for (const auto& ring : rings) ctx.rings.push_back(ring.get());
-    ctx.info = {
-        {"harness", "crash_sweep"},
-        {"wl_seed", std::to_string(cfg.wl_seed)},
-        {"sched_seed", std::to_string(cfg.sched_seed)},
-        {"kill_step", std::to_string(kill_step)},
-        {"watchdog_step", std::to_string(sched.watchdog_step())},
-        {"watchdog_fired", sched.watchdog_fired() ? "1" : "0"},
-        {"global_steps", std::to_string(sched.global_steps())},
-        {"workers", std::to_string(cfg.workers)},
-        {"victim", std::to_string(cfg.victim)},
-        {"team_size", std::to_string(cfg.team_size)},
-        {"ops", std::to_string(cfg.ops)},
-        {"key_range", std::to_string(cfg.key_range)},
-        {"with_epochs", cfg.with_epochs ? "1" : "0"},
-        {"with_snapshots", cfg.with_snapshots ? "1" : "0"},
-        {"batched", cfg.batched ? "1" : "0"},
-        {"with_foresight", cfg.with_foresight ? "1" : "0"},
-    };
-    const std::string stem =
-        "postmortem_crash_k" +
-        (kill_step == UINT64_MAX ? std::string("none")
-                                 : std::to_string(kill_step));
-    (void)dump_postmortem(cfg.postmortem_dir, stem, ctx);
-  };
-  // Batched mode: the whole op array is one batch, planned once and drained
-  // through a shared stealing queue — same shape as run_gfsl_batched, but
-  // under the deterministic scheduler with a kill step armed.
-  sched::ShardPlan plan;
-  std::vector<std::uint8_t> outcomes;
-  if (cfg.batched) {
-    plan = sched::plan_shards(ops, cfg.workers, cfg.batch_shard_ops);
-    outcomes.assign(ops.size(),
-                    static_cast<std::uint8_t>(core::BatchOpStatus::kSkipped));
-  }
-  sched::ShardQueue queue(plan);
-
-  std::atomic<bool> hang{false};
-  std::atomic<bool> victim_killed{false};
-  std::vector<std::thread> threads;
-  for (int w = 0; w < cfg.workers; ++w) {
-    threads.emplace_back([&, w] {
-      simt::Team team(cfg.team_size, w, 3);
-      if (reg != nullptr) team.set_metrics(&reg->shard(w));
-      if (!rings.empty()) team.set_trace(rings[static_cast<std::size_t>(w)].get());
-      HistoryObserver observer(log, w);
-      const Op* cur_op = nullptr;
-      std::uint64_t cur_tick = 0;
-      sched.enter(w);
-      try {
-        if (cfg.batched) {
-          int s;
-          while ((s = queue.pop(w)) >= 0) {
-            const auto& shard = plan.shards[static_cast<std::size_t>(s)];
-            (void)sl.execute_shard(team, ops.data(), plan.order.data(),
-                                   shard.begin, shard.end, outcomes.data(),
-                                   &observer);
-          }
-        } else {
-          for (std::size_t i = static_cast<std::size_t>(w); i < ops.size();
-               i += static_cast<std::size_t>(cfg.workers)) {
-            const Op& op = ops[i];
-            cur_op = &op;
-            cur_tick = log.begin_op();
-            bool r = false;
-            switch (op.kind) {
-              case OpKind::Insert: r = sl.insert(team, op.key, op.value); break;
-              case OpKind::Delete: r = sl.erase(team, op.key); break;
-              case OpKind::Contains: r = sl.contains(team, op.key); break;
-            }
-            log.end_op(w, cur_tick, op.kind, op.key, r);
-            cur_op = nullptr;
-          }
-        }
-        sched.leave(w);
-      } catch (const sched::TeamKilled&) {
-        // Killed teams must not call leave(): yield() already deactivated
-        // them and handed the baton on.
-        observer.record_crash();  // batched: the op execute_shard was inside
-        if (cur_op != nullptr) {
-          log.crash_op(w, cur_tick, cur_op->kind, cur_op->key);
-        }
-        if (w == cfg.victim) {
-          victim_killed.store(true, std::memory_order_relaxed);
-        } else {
-          // Survivors only die via the watchdog: the run livelocked.
-          hang.store(true, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  res.steps = sched.global_steps();
-  res.victim_killed = victim_killed.load(std::memory_order_relaxed);
-  if (hang.load(std::memory_order_relaxed)) {
+  auto fail = [&](const std::string& reason, const std::string& error) {
     res.ok = false;
-    res.hang = true;
-    res.error = "hang: survivors hit the watchdog (step " +
-                std::to_string(res.steps) + ")";
-    // Every team is dead (killed or returned), so the walk is quiescent.
-    dump_failure("watchdog_stall", res.error, &sl);
+    res.error = error;
+    if (cfg.postmortem_dir.empty()) return res;
+    std::vector<const simt::TeamTrace*> tails;
+    for (const auto& ring : rings) tails.push_back(ring.get());
+    // Every team is dead or returned: the structure walk is quiescent.
+    (void)dump_postmortem(
+        cfg.postmortem_dir,
+        "postmortem_crash_k" + (kill_step == UINT64_MAX
+                                    ? std::string("none")
+                                    : std::to_string(kill_step)),
+        {.reason = reason,
+         .detail = error,
+         .gfsl = &sl,
+         .metrics = reg,
+         .rings = tails,
+         .info = {{"harness", "crash_sweep"},
+                  {"repro", crash_sweep_flags(cfg)},
+                  {"wl_seed", std::to_string(cfg.wl_seed)},
+                  {"sched_seed", std::to_string(cfg.sched_seed)},
+                  {"kill_step", std::to_string(kill_step)},
+                  {"watchdog_step", std::to_string(sched.watchdog_step())},
+                  {"watchdog_fired", sched.watchdog_fired() ? "1" : "0"},
+                  {"global_steps", std::to_string(sched.global_steps())},
+                  {"batched", cfg.batched ? "1" : "0"},
+                  {"leases", cfg.attach.leases ? "1" : "0"}}});
     return res;
+  };
+
+  const HistoryOutcome out = run_history(sl, &sched, ops, run);
+  res.steps = out.steps;
+  res.victim_killed = out.killed[static_cast<std::size_t>(cfg.victim)];
+  for (int w = 0; w < cfg.workers; ++w) {
+    // Survivors only die via the watchdog: the run livelocked.
+    if (w != cfg.victim && out.killed[static_cast<std::size_t>(w)]) {
+      res.hang = true;
+      return fail("watchdog_stall", "hang: survivors hit the watchdog (step " +
+                                        std::to_string(res.steps) + ")");
+    }
   }
 
   // Medic pass: a FRESH team id outside the scheduled participant set.
@@ -251,10 +151,15 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
 
   const auto rep = sl.validate(/*strict=*/false);
   if (!rep.ok) {
-    res.ok = false;
-    res.error = "structure invalid: " + rep.error;
-    dump_failure("validate_failure", res.error, &sl);
-    return res;
+    return fail("validate_failure", "structure invalid: " + rep.error);
+  }
+  if (rig.integrity() != nullptr) {
+    const core::ScrubReport sr = sl.scrub_pass(medic);
+    if (sr.mismatches != 0) {
+      return fail("integrity_mismatch",
+                  "post-medic scrub found " + std::to_string(sr.mismatches) +
+                      " seal mismatches");
+    }
   }
   std::vector<Key> final_keys;
   for (const auto& [k, v] : sl.collect()) final_keys.push_back(k);
@@ -262,48 +167,50 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
   for (const auto& [k, v] : frozen) initial_keys.push_back(k);
   const auto check = check_history(log.merged(), initial_keys, final_keys);
   if (!check.ok) {
-    res.ok = false;
-    res.error = "history violation: " + check.error;
-    dump_failure("history_violation", res.error, &sl);
-    return res;
+    return fail("history_violation", "history violation: " + check.error);
   }
 
   // The held snapshot survived the kill, the recovery rolls, and the medic:
   // its scan must still be exactly the frozen prefill.
-  if (cfg.with_snapshots && held.open()) {
+  if (held.open()) {
     std::vector<std::pair<Key, Value>> got;
     const auto st = sl.scan_at(medic, held, MIN_USER_KEY, MAX_USER_KEY, got);
     if (st != core::ScanAtStatus::kOk) {
-      res.ok = false;
-      res.error = "held snapshot expired across the kill (scan_at status " +
-                  std::to_string(static_cast<int>(st)) + ")";
-      dump_failure("snapshot_mismatch", res.error, &sl);
-      return res;
+      return fail("snapshot_mismatch",
+                  "held snapshot expired across the kill (scan_at status " +
+                      std::to_string(static_cast<int>(st)) + ")");
     }
     if (got != frozen) {
       std::string detail = "held snapshot drifted: harvested " +
                            std::to_string(got.size()) + " pairs, froze " +
                            std::to_string(frozen.size());
-      for (const auto& [k, v] : got) {
-        bool found = false;
-        for (const auto& [fk, fv] : frozen) {
-          if (fk == k && fv == v) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          detail += "; first divergence at key " + std::to_string(k);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (i >= frozen.size() || got[i] != frozen[i]) {
+          detail += "; first divergence at key " + std::to_string(got[i].first);
           break;
         }
       }
-      res.ok = false;
-      res.error = detail;
-      dump_failure("snapshot_mismatch", res.error, &sl);
-      return res;
+      return fail("snapshot_mismatch", detail);
     }
     res.snapshot_checked = true;
     sl.release_snapshot(held);
+  }
+
+  // Hinted-read differential: a quiescent contains() over every key in
+  // range — most consults land on a published hint — must agree exactly
+  // with the structure walk collect() did.  Any divergence means a hint
+  // steered a search past its key: the one failure mode the generation /
+  // zombie validation exists to make impossible.
+  if (rig.foresight() != nullptr) {
+    const std::set<Key> live(final_keys.begin(), final_keys.end());
+    for (std::uint64_t k = 1; k <= cfg.key_range; ++k) {
+      const Key key = static_cast<Key>(k);
+      if (sl.contains(medic, key) != (live.count(key) != 0)) {
+        return fail("foresight_mismatch",
+                    "foresight mismatch: contains(" + std::to_string(k) +
+                        ") disagrees with collect()");
+      }
+    }
   }
   return res;
 }

@@ -21,7 +21,9 @@
 //     (HistoryEvent::crashed — recovery may have rolled it either way).
 //
 // The sweep is deterministic end to end: a failure at kill step s reproduces
-// with the same (wl_seed, sched_seed, s) triple.
+// with the same (wl_seed, sched_seed, s) triple.  The run itself is
+// harness::run_history (history.h) on a harness::Rig (rig.h); this file adds
+// the kill schedule, the medic and the post-run checks.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +31,8 @@
 #include <cstdio>
 #include <string>
 
+#include "harness/options.h"
+#include "harness/rig.h"
 #include "obs/metrics.h"
 
 namespace gfsl::harness {
@@ -47,17 +51,22 @@ struct CrashSweepConfig {
   // running by then are livelocked; the harness reports a hang.
   std::uint64_t watchdog_factor = 8;
   std::uint64_t watchdog_slack = 4096;
-  // Attach an EpochManager: kills then also land inside retire/reclaim
-  // spans, the medic must force-quiesce the victim's pin and adopt its
-  // limbo, and validation additionally classifies limbo/free chunks.
-  bool with_epochs = false;
-  // Attach a SnapshotManager, bulk-load `prefill` pairs, and hold a snapshot
-  // of them across the whole run: wherever the kill lands (and whichever way
-  // recovery rolls the victim's half-done mutation), every post-run
-  // scan_at() over that snapshot must still return exactly the prefill —
-  // snapshot isolation is not allowed to depend on the crash-repair path.
-  // Failures dump a `snapshot_mismatch` postmortem bundle.
-  bool with_snapshots = false;
+  // What the structure arms (harness/rig.h).  Default: the lease table that
+  // makes a kill survivable (leases = false suits only runs with no kill
+  // step), and a hint table that, once switched on, rebuilds at stride 1 /
+  // threshold 1 — a realistic threshold would never republish at this scale.
+  //   * epochs: kills also land in retire/reclaim spans; the medic must
+  //     force-quiesce the victim's pin and adopt its limbo.
+  //   * snapshots: bulk-load `prefill` pairs and hold a snapshot of them
+  //     across the run; every post-run scan_at() over it must return
+  //     exactly the prefill (`snapshot_mismatch` otherwise).
+  //   * foresight (DESIGN.md §14): a quiescent contains() over the whole key
+  //     range must agree with collect() (`foresight_mismatch` otherwise).
+  //   * integrity (DESIGN.md §15): a post-medic scrub_pass must report zero
+  //     seal mismatches — every release the repair took restamped.
+  Attach attach{.leases = true,
+                .foresight_stride = 1,
+                .foresight_rebuild_threshold = 1};
   std::uint64_t prefill = 24;  // bulk-loaded pairs frozen under the snapshot
   // Batched dispatch (DESIGN.md §10): the whole op array becomes ONE batch —
   // key-sorted, sharded, drained through a stealing ShardQueue — so kills
@@ -68,20 +77,25 @@ struct CrashSweepConfig {
   // unexecuted ops were never logged).
   bool batched = false;
   std::size_t batch_shard_ops = 0;  // plan_shards granularity; 0 = auto
-  // Attach a core::ForesightIndex (DESIGN.md §14): searches jump through
-  // published hints, so kills land between a hint's publication and its
-  // consultation, inside rebuild walks, and between mark_dirty sites and the
-  // republish they schedule.  Correctness must not depend on hint freshness —
-  // every stale hint has to fall back to the classic descent, and the sweep's
-  // validate + linearizability checks run unchanged.
-  bool with_foresight = false;
   // Non-empty: arm clockless flight-recorder rings on every team (including
   // the medic) and, when a run fails — watchdog stall, validate failure,
   // history violation — drop a gfsl-postmortem-v1 bundle into this
   // directory (which must exist).  The rings are cheap enough to keep armed
-  // across a full sweep; the dump carries the repro triple in its info map.
+  // across a full sweep; the dump carries the repro flags in its info map.
   std::string postmortem_dir;
+
+  bool operator==(const CrashSweepConfig&) const = default;
 };
+
+/// gfsl_fuzz's crash-mode flags -> config: --workers --team-size --ops
+/// --range --victim --crash-stride --prefill --crash-seed (workload seed;
+/// the schedule seed is derived from it) --with-epochs --with-snapshots
+/// --with-foresight --postmortem-dir.
+CrashSweepConfig crash_sweep_config(const Options& opt);
+
+/// Every flag crash_sweep_config reads, spelled so that parsing them back
+/// yields `cfg` again: the repro line a failed run prints.
+std::string crash_sweep_flags(const CrashSweepConfig& cfg);
 
 struct CrashRunResult {
   bool ok = true;

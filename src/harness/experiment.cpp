@@ -7,11 +7,7 @@
 #include <thread>
 
 #include "common/random.h"
-#include "core/snapshot.h"
-#include "device/epoch.h"
-#include "device/persist.h"
 #include "harness/postmortem.h"
-#include "sched/lease.h"
 
 namespace gfsl::harness {
 
@@ -107,6 +103,20 @@ double conflict_rate(double in_flight, double u, double window,
   return p / (1.0 - p);
 }
 
+/// A measured run's (contention-corrected) kernel events through the GPU
+/// cost model, plus the raw simulator throughput.
+void model_run(Measurement& m, const RunResult& rr, std::size_t n_ops,
+               const model::OccupancyResult& occ, int teams_per_warp = 1) {
+  m.detail = model::CostModel().throughput(rr.kernel, occ, teams_per_warp);
+  m.model_mops = m.detail.mops;
+  m.sim_mops = rr.sim_wall_seconds > 0
+                   ? static_cast<double>(n_ops) / rr.sim_wall_seconds / 1e6
+                   : 0.0;
+  m.oom = rr.out_of_memory;
+  m.kernel = rr.kernel;
+  m.team_totals = rr.team_totals;
+}
+
 }  // namespace
 
 void sample_structure_gauges(obs::MetricsRegistry& reg, const core::Gfsl& sl) {
@@ -146,6 +156,37 @@ void sample_structure_gauges(obs::MetricsRegistry& reg, const core::Gfsl& sl) {
     reg.set_gauge(obs::kScrubSuspects,
                   static_cast<double>(ic->suspect_count()));
   }
+}
+
+int run_churn_storm(core::Gfsl& sl, int workers, std::uint64_t ops,
+                    std::uint64_t range, std::uint64_t seed,
+                    obs::MetricsRegistry* metrics,
+                    const std::vector<simt::TeamTrace*>& rings) {
+  std::atomic<int> oom{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < workers; ++w) {
+    threads.emplace_back([&, w] {
+      simt::Team team(sl.team_size(), w, 3);
+      if (metrics != nullptr) team.set_metrics(&metrics->shard(w));
+      if (!rings.empty()) team.set_trace(rings[static_cast<std::size_t>(w)]);
+      Xoshiro256ss rng(derive_seed(seed, static_cast<std::uint64_t>(w)));
+      const std::uint64_t n = ops / static_cast<std::uint64_t>(workers);
+      try {
+        for (std::uint64_t i = 0; i < n; ++i) {
+          const Key k = 1 + static_cast<Key>(rng.below(range));
+          if (rng.below(2) == 0) {
+            sl.insert(team, k, k);
+          } else {
+            sl.erase(team, k);
+          }
+        }
+      } catch (const std::bad_alloc&) {
+        oom.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  return oom.load();
 }
 
 void apply_gfsl_contention(model::KernelRun& k,
@@ -198,44 +239,20 @@ void apply_mc_contention(model::KernelRun& k,
 Measurement measure_gfsl(const WorkloadConfig& wl,
                          const StructureSetup& setup) {
   Measurement m;
-  device::DeviceMemory mem;
   core::GfslConfig cfg;
   cfg.team_size = setup.team_size;
   cfg.p_chunk = setup.p_chunk;
   cfg.pool_chunks = gfsl_pool_chunks(wl, setup.team_size);
-  std::unique_ptr<device::PersistRegion> region;
-  std::unique_ptr<sched::LeaseTable> leases;
-  if (!setup.persist_path.empty()) {
-    region = std::make_unique<device::PersistRegion>(
-        setup.persist_path, device::PersistRegion::Mode::kCreate,
-        device::PersistGeometry{static_cast<std::uint32_t>(setup.team_size),
-                                cfg.pool_chunks});
-    leases = std::make_unique<sched::LeaseTable>();
-    leases->attach(
-        static_cast<std::atomic<std::uint32_t>*>(region->lease_slots()),
-        /*adopt=*/false);
-  }
-  std::unique_ptr<device::EpochManager> epochs;
-  std::unique_ptr<core::SnapshotManager> snaps;
-  if (setup.snapshot_scan) {
-    // The scanner needs versioned mutations; the EpochManager rides along so
-    // pruned version records get their grace period instead of leaking.
-    epochs = std::make_unique<device::EpochManager>();
-    snaps = std::make_unique<core::SnapshotManager>(cfg.pool_chunks);
-  }
-  std::unique_ptr<core::ForesightIndex> foresight;
-  if (setup.foresight) {
-    foresight = std::make_unique<core::ForesightIndex>(cfg.pool_chunks);
-  }
-  std::unique_ptr<core::IntegritySidecar> integrity;
-  if (setup.integrity || setup.scrub_passes > 0) {
-    integrity = std::make_unique<core::IntegritySidecar>();
-  }
-  core::Gfsl sl(cfg, &mem, nullptr, leases.get(), epochs.get(), region.get(),
-                snaps.get(), foresight.get(), integrity.get());
+  Attach attach = setup.attach;
+  // The scanner needs versioned mutations; the EpochManager rides along so
+  // pruned version records get their grace period instead of leaking.
+  if (setup.snapshot_scan) attach.snapshots = attach.epochs = true;
+  Rig rig(cfg, attach);
+  core::Gfsl& sl = rig.gfsl();
+  device::DeviceMemory& mem = rig.mem();
 
   sl.bulk_load(generate_prefill(wl));
-  if (setup.foresight) {
+  if (rig.foresight() != nullptr) {
     // Prime the hint table quiescently so measured traffic starts hinted
     // instead of paying the lazy first rebuild (and its peers' classic
     // fallback descents) inside the timed window.
@@ -329,7 +346,7 @@ Measurement measure_gfsl(const WorkloadConfig& wl,
     scan_stop.store(true, std::memory_order_release);
     scanner.join();
   }
-  if (integrity) {
+  if (const core::IntegritySidecar* integrity = rig.integrity()) {
     // Post-run online scrub: a medic team walks every sealed chunk.  On an
     // undamaged run every pass is a full-verify no-op — the per-pass cost,
     // not the findings, is the datum.  The medic's team id sits past the
@@ -374,22 +391,16 @@ Measurement measure_gfsl(const WorkloadConfig& wl,
     if (out) write_postmortem(out, ctx);
   }
 
-  if (region) region->mark_clean();
-  const model::Occupancy occ_calc;
-  const auto occ = occ_calc.compute(model::kGfslKernel, setup.warps_per_block);
+  if (rig.region() != nullptr) rig.region()->mark_clean();
+  const auto occ = model::Occupancy().compute(model::kGfslKernel,
+                                              setup.warps_per_block);
   apply_gfsl_contention(rr.kernel, occ, contention_inputs(wl),
                         setup.team_size);
-  const model::CostModel cm;
-  m.detail = cm.throughput(rr.kernel, occ);
-  m.model_mops = m.detail.mops;
-  m.sim_mops = rr.sim_wall_seconds > 0
-                   ? static_cast<double>(ops.size()) / rr.sim_wall_seconds / 1e6
-                   : 0.0;
-  m.oom = rr.out_of_memory;
-  m.kernel = rr.kernel;
-  m.team_totals = rr.team_totals;
+  model_run(m, rr, ops.size(), occ);
   m.avg_chunks_per_traversal = sl.avg_chunks_per_traversal();
-  if (foresight) m.foresight_rebuilds = foresight->rebuilds();
+  if (rig.foresight() != nullptr) {
+    m.foresight_rebuilds = rig.foresight()->rebuilds();
+  }
   return m;
 }
 
@@ -420,17 +431,10 @@ Measurement measure_mc(const WorkloadConfig& wl, const StructureSetup& setup) {
   rc.trace = setup.trace;
   RunResult rr = run_mc(sl, ops, rc, mem);
 
-  const model::Occupancy occ_calc;
-  const auto occ = occ_calc.compute(model::kMcKernel, setup.warps_per_block);
+  const auto occ = model::Occupancy().compute(model::kMcKernel,
+                                              setup.warps_per_block);
   apply_mc_contention(rr.kernel, occ, contention_inputs(wl));
-  const model::CostModel cm;
-  m.detail = cm.throughput(rr.kernel, occ);
-  m.model_mops = m.detail.mops;
-  m.sim_mops = rr.sim_wall_seconds > 0
-                   ? static_cast<double>(ops.size()) / rr.sim_wall_seconds / 1e6
-                   : 0.0;
-  m.oom = rr.out_of_memory;
-  m.kernel = rr.kernel;
+  model_run(m, rr, ops.size(), occ);
   return m;
 }
 
@@ -441,12 +445,13 @@ Measurement measure_gfsl_dual(const WorkloadConfig& wl,
   if (setup.num_workers % 2 != 0) ++setup.num_workers;
 
   Measurement m;
-  device::DeviceMemory mem;
   core::GfslConfig cfg;
   cfg.team_size = setup.team_size;
   cfg.p_chunk = setup.p_chunk;
   cfg.pool_chunks = gfsl_pool_chunks(wl, setup.team_size);
-  core::Gfsl sl(cfg, &mem);
+  Rig rig(cfg, Attach{});
+  core::Gfsl& sl = rig.gfsl();
+  device::DeviceMemory& mem = rig.mem();
 
   sl.bulk_load(generate_prefill(wl));
 
@@ -467,65 +472,47 @@ Measurement measure_gfsl_dual(const WorkloadConfig& wl,
   RunResult rr = run_gfsl_paired(sl, ops, rc, mem);
   if (setup.metrics != nullptr) sample_structure_gauges(*setup.metrics, sl);
 
-  const model::Occupancy occ_calc;
-  const auto occ = occ_calc.compute(model::kGfslKernel, setup.warps_per_block);
+  const auto occ = model::Occupancy().compute(model::kGfslKernel,
+                                              setup.warps_per_block);
   apply_gfsl_contention(rr.kernel, occ, contention_inputs(wl),
                         setup.team_size);
-  const model::CostModel cm;
-  m.detail = cm.throughput(rr.kernel, occ, /*teams_per_warp=*/2);
-  m.model_mops = m.detail.mops;
-  m.sim_mops = rr.sim_wall_seconds > 0
-                   ? static_cast<double>(ops.size()) / rr.sim_wall_seconds / 1e6
-                   : 0.0;
-  m.oom = rr.out_of_memory;
-  m.kernel = rr.kernel;
-  m.team_totals = rr.team_totals;
+  model_run(m, rr, ops.size(), occ, /*teams_per_warp=*/2);
   m.avg_chunks_per_traversal = sl.avg_chunks_per_traversal();
   return m;
 }
 
-Repeated repeat_gfsl_dual(WorkloadConfig wl, const StructureSetup& setup,
-                          int reps) {
+namespace {
+
+Repeated repeat(Measurement (*measure)(const WorkloadConfig&,
+                                       const StructureSetup&),
+                WorkloadConfig wl, const StructureSetup& setup, int reps) {
   Repeated out;
   RunStats stats;
   for (int r = 0; r < reps; ++r) {
     wl.seed = derive_seed(wl.seed, static_cast<std::uint64_t>(r) + 1);
-    const auto m = measure_gfsl_dual(wl, setup);
+    const auto m = measure(wl, setup);
     out.oom = out.oom || m.oom;
     stats.add(m.model_mops);
     out.samples.push_back(m.model_mops);
   }
   out.mops = stats.summarize();
   return out;
+}
+
+}  // namespace
+
+Repeated repeat_gfsl_dual(WorkloadConfig wl, const StructureSetup& setup,
+                          int reps) {
+  return repeat(measure_gfsl_dual, wl, setup, reps);
 }
 
 Repeated repeat_gfsl(WorkloadConfig wl, const StructureSetup& setup,
                      int reps) {
-  Repeated out;
-  RunStats stats;
-  for (int r = 0; r < reps; ++r) {
-    wl.seed = derive_seed(wl.seed, static_cast<std::uint64_t>(r) + 1);
-    const auto m = measure_gfsl(wl, setup);
-    out.oom = out.oom || m.oom;
-    stats.add(m.model_mops);
-    out.samples.push_back(m.model_mops);
-  }
-  out.mops = stats.summarize();
-  return out;
+  return repeat(measure_gfsl, wl, setup, reps);
 }
 
 Repeated repeat_mc(WorkloadConfig wl, const StructureSetup& setup, int reps) {
-  Repeated out;
-  RunStats stats;
-  for (int r = 0; r < reps; ++r) {
-    wl.seed = derive_seed(wl.seed, static_cast<std::uint64_t>(r) + 1);
-    const auto m = measure_mc(wl, setup);
-    out.oom = out.oom || m.oom;
-    stats.add(m.model_mops);
-    out.samples.push_back(m.model_mops);
-  }
-  out.mops = stats.summarize();
-  return out;
+  return repeat(measure_mc, wl, setup, reps);
 }
 
 }  // namespace gfsl::harness

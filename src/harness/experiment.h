@@ -8,6 +8,7 @@
 
 #include "common/env.h"
 #include "common/stats.h"
+#include "harness/rig.h"
 #include "harness/runner.h"
 #include "harness/workload.h"
 #include "model/cost_model.h"
@@ -38,31 +39,26 @@ struct StructureSetup {
   /// flight-recorder session is armed for the measured run so the bundle
   /// carries per-team event tails.  GFSL only; ignored by measure_mc.
   std::string postmortem_out;
-  /// Non-empty: back the GFSL arena with a file-backed device::PersistRegion
-  /// at this path (created fresh), so every mutating transition of the
-  /// measured run crosses a persist barrier — the armed-persistence cost the
-  /// persist_overhead campaign measures.  A lease table is attached
-  /// automatically (the durability protocol requires one); the run ends with
-  /// a clean-shutdown mark.  GFSL only; ignored by measure_mc.
-  std::string persist_path;
-  /// Attach a core::SnapshotManager (plus an EpochManager, so version chains
+  /// Sidecars armed on the GFSL structure (harness/rig.h); GFSL only,
+  /// ignored by measure_mc.  The costs the overhead campaigns measure:
+  ///   * persist: back the arena with a file-backed device::PersistRegion
+  ///     (its lease table comes with it), so every mutating transition of the
+  ///     measured run crosses a persist barrier; the run ends with a
+  ///     clean-shutdown mark.
+  ///   * foresight (DESIGN.md §14): per-op point operations jump straight to
+  ///     a hinted bottom chunk instead of descending from the head (batched
+  ///     dispatch keeps its sorted cursor); the table is primed before the
+  ///     warmup.  Hit/fallback/staleness counters land in the registry.
+  ///   * integrity (DESIGN.md §15): every lock release restamps the chunk's
+  ///     data-slot seal and checked reads verify it on their cold path.
+  Attach attach;
+  /// Arm a core::SnapshotManager (plus an EpochManager, so version chains
   /// are GC'd to the min-snapshot watermark) and run a concurrent scanner
   /// thread through snapshot() + scan_at() for the whole measured run.  The
   /// scanner's traffic lands in Measurement::snapshot_* and, when a metrics
   /// registry with > num_workers shards is attached, in shard num_workers —
   /// it does not count toward the modeled MOPS.  GFSL only.
   bool snapshot_scan = false;
-  /// Attach a core::ForesightIndex (DESIGN.md §14) so per-op point
-  /// operations jump straight to a hinted bottom chunk instead of
-  /// descending from the head (batched dispatch keeps its sorted cursor).
-  /// Hit/fallback/staleness counters land in the metrics registry when one
-  /// is attached.  GFSL only.
-  bool foresight = false;
-  /// Attach a core::IntegritySidecar (DESIGN.md §15): every lock release
-  /// restamps the chunk's data-slot seal and checked reads verify it on
-  /// their cold path — the armed cost the integrity_overhead campaign
-  /// measures.  GFSL only.
-  bool integrity = false;
   /// With integrity: run this many online scrub passes after the measured
   /// run (a medic team walking every sealed chunk) and accumulate their
   /// reports into Measurement::scrub_*.
@@ -78,14 +74,15 @@ struct Measurement {
   simt::TeamCounters team_totals;  // GFSL only
   double avg_chunks_per_traversal = 0.0;  // GFSL only (§5.2 p_chunk metric)
   /// Hint-table publishes over the whole launch, priming included (the
-  /// priming team carries no metrics shard).  Populated when setup.foresight.
+  /// priming team carries no metrics shard).  Populated when foresight is
+  /// armed.
   std::uint64_t foresight_rebuilds = 0;
   core::BatchStats batch;  // populated when setup.batch_size > 0
   // Populated when setup.snapshot_scan: concurrent scan_at traffic.
   std::uint64_t snapshot_scans = 0;          // scans that completed kOk
   std::uint64_t snapshot_scan_items = 0;     // pairs harvested across them
   std::uint64_t snapshot_scans_expired = 0;  // snapshots expired mid-scan
-  // Populated when setup.integrity: sidecar state at teardown plus the
+  // Populated when integrity is armed: sidecar state at teardown plus the
   // accumulated post-run scrub results (zero passes => zeros).
   std::uint64_t sealed_chunks = 0;           // chunks carrying a valid seal
   std::uint64_t scrub_suspects = 0;          // suspect flags still pending
@@ -127,6 +124,16 @@ std::vector<std::uint64_t> sweep_ranges(std::uint64_t max_range);
 /// used by external drivers (gfsl_fuzz --metrics-json) that run the
 /// structure outside measure_gfsl.
 void sample_structure_gauges(obs::MetricsRegistry& reg, const core::Gfsl& sl);
+
+/// Free-running churn storm: teams 0..workers-1 each draw ops/workers 50/50
+/// insert/erase ops over keys [1, range] from their own
+/// Xoshiro256ss(derive_seed(seed, w)) and stop at pool exhaustion.  Team w
+/// records into metrics->shard(w) and rings[w] when given.  Returns how many
+/// teams hit pool exhaustion.
+int run_churn_storm(core::Gfsl& sl, int workers, std::uint64_t ops,
+                    std::uint64_t range, std::uint64_t seed,
+                    obs::MetricsRegistry* metrics = nullptr,
+                    const std::vector<simt::TeamTrace*>& rings = {});
 
 /// Device pool capacities emulating the GTX 970's 4 GB memory (§5.3: M&C
 /// "runs out of memory for larger structures").

@@ -3,7 +3,14 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <thread>
 #include <unordered_set>
+
+#include "core/gfsl.h"
+#include "obs/metrics.h"
+#include "sched/batch_dispatch.h"
+#include "sched/step_scheduler.h"
+#include "simt/trace.h"
 
 namespace gfsl::harness {
 
@@ -24,6 +31,106 @@ std::vector<HistoryEvent> HistoryLog::merged() const {
             [](const HistoryEvent& a, const HistoryEvent& b) {
               return a.invoke < b.invoke;
             });
+  return out;
+}
+
+bool SetModel::apply(const Op& op) {
+  switch (op.kind) {
+    case OpKind::Insert: return m.emplace(op.key, op.value).second;
+    case OpKind::Delete: return m.erase(op.key) > 0;
+    case OpKind::Contains: return m.count(op.key) > 0;
+  }
+  return false;
+}
+
+namespace {
+
+// Forwards to the caller's hooks and remembers the op in flight, so a
+// TeamKilled unwind can report it.
+class InFlight final : public core::BatchOpObserver {
+ public:
+  explicit InFlight(core::BatchOpObserver* inner) : inner_(inner) {}
+  void on_begin(std::uint32_t idx, const Op& op) override {
+    idx_ = idx;
+    op_ = &op;
+    if (inner_ != nullptr) inner_->on_begin(idx, op);
+  }
+  void on_end(std::uint32_t idx, const Op& op, bool result) override {
+    op_ = nullptr;
+    if (inner_ != nullptr) inner_->on_end(idx, op, result);
+  }
+  void on_skipped(std::uint32_t idx, const Op& op) override {
+    op_ = nullptr;
+    if (inner_ != nullptr) inner_->on_skipped(idx, op);
+  }
+  void killed() {
+    if (op_ != nullptr) on_skipped(idx_, *op_);
+  }
+
+ private:
+  core::BatchOpObserver* inner_;
+  const Op* op_ = nullptr;
+  std::uint32_t idx_ = 0;
+};
+
+}  // namespace
+
+HistoryOutcome run_history(core::Gfsl& sl, sched::StepScheduler* sched,
+                           const std::vector<Op>& ops,
+                           const HistoryOptions& opt) {
+  const auto workers = static_cast<std::size_t>(opt.workers);
+  sched::ShardPlan plan;
+  std::vector<std::uint8_t> outcomes;
+  if (opt.batched) {
+    plan = sched::plan_shards(ops, opt.workers, opt.batch_shard_ops);
+    outcomes.assign(ops.size(),
+                    static_cast<std::uint8_t>(core::BatchOpStatus::kSkipped));
+  }
+  sched::ShardQueue queue(plan);
+  std::vector<char> killed(workers, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&, w] {
+      const int id = static_cast<int>(w);
+      simt::Team team(sl.team_size(), id, opt.team_seed);
+      if (opt.metrics != nullptr) team.set_metrics(&opt.metrics->shard(id));
+      if (!opt.traces.empty()) team.set_trace(opt.traces[w]);
+      InFlight bracket(opt.observers.empty() ? nullptr : opt.observers[w]);
+      if (sched != nullptr) sched->enter(id);
+      try {
+        if (opt.batched) {
+          int s;
+          while ((s = queue.pop(id)) >= 0) {
+            const auto& shard = plan.shards[static_cast<std::size_t>(s)];
+            (void)sl.execute_shard(team, ops.data(), plan.order.data(),
+                                   shard.begin, shard.end, outcomes.data(),
+                                   &bracket);
+          }
+        } else {
+          for (std::size_t i = w; i < ops.size(); i += workers) {
+            const Op& op = ops[i];
+            bracket.on_begin(static_cast<std::uint32_t>(i), op);
+            bool r = false;
+            switch (op.kind) {
+              case OpKind::Insert: r = sl.insert(team, op.key, op.value); break;
+              case OpKind::Delete: r = sl.erase(team, op.key); break;
+              case OpKind::Contains: r = sl.contains(team, op.key); break;
+            }
+            bracket.on_end(static_cast<std::uint32_t>(i), op, r);
+          }
+        }
+        if (sched != nullptr) sched->leave(id);
+      } catch (const sched::TeamKilled&) {
+        // yield() already deactivated a killed team and handed the baton on.
+        bracket.killed();
+        killed[w] = 1;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  HistoryOutcome out;
+  out.killed.assign(killed.begin(), killed.end());
+  out.steps = sched != nullptr ? sched->global_steps() : 0;
   return out;
 }
 

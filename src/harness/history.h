@@ -13,14 +13,33 @@
 // precedence (op A wholly before op B ⇒ A linearizes first), so a greedy
 // search over the overlap groups suffices for the small per-key histories
 // the stress tests generate.
+//
+// run_history is the one deterministic driver that produces such histories:
+// W teams under a StepScheduler, op i on team i mod W (or one batch drained
+// through a shared ShardQueue), every op bracketed by a BatchOpObserver.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
+#include "core/batch.h"
+
+namespace gfsl::core {
+class Gfsl;
+}
+namespace gfsl::obs {
+class MetricsRegistry;
+}
+namespace gfsl::sched {
+class StepScheduler;
+}
+namespace gfsl::simt {
+class TeamTrace;
+}
 
 namespace gfsl::harness {
 
@@ -71,6 +90,66 @@ class HistoryLog {
   std::atomic<std::uint64_t> clock_{0};
   std::vector<std::vector<HistoryEvent>> per_worker_;
 };
+
+/// Records each op it brackets into a HistoryLog.  An op that began but never
+/// responded (on_skipped: pool exhaustion, or its team was killed) is logged
+/// as crashed — optional in the linearizability check, because recovery may
+/// roll it either way.
+class HistoryRecorder final : public core::BatchOpObserver {
+ public:
+  HistoryRecorder(HistoryLog& log, int worker) : log_(log), w_(worker) {}
+  void on_begin(std::uint32_t /*idx*/, const Op& /*op*/) override {
+    tick_ = log_.begin_op();
+  }
+  void on_end(std::uint32_t /*idx*/, const Op& op, bool result) override {
+    log_.end_op(w_, tick_, op.kind, op.key, result);
+  }
+  void on_skipped(std::uint32_t /*idx*/, const Op& op) override {
+    log_.crash_op(w_, tick_, op.kind, op.key);
+  }
+
+ private:
+  HistoryLog& log_;
+  int w_;
+  std::uint64_t tick_ = 0;
+};
+
+/// Sequential set model: the reference a single-team history must match.
+struct SetModel {
+  std::map<Key, Value> m;
+  /// Apply `op` and return its set-semantics result.
+  bool apply(const Op& op);
+  std::vector<std::pair<Key, Value>> collect() const {
+    return {m.begin(), m.end()};
+  }
+};
+
+struct HistoryOptions {
+  int workers = 1;              // teams 0..workers-1 (scheduler participants)
+  std::uint64_t team_seed = 3;  // simt::Team seed of every team
+  /// false: op i runs on team i mod workers, in index order.  true: the whole
+  /// op array is one batch, planned once by plan_shards and drained through
+  /// a shared stealing ShardQueue (DESIGN.md §10).
+  bool batched = false;
+  std::size_t batch_shard_ops = 0;  // plan_shards granularity; 0 = auto
+  obs::MetricsRegistry* metrics = nullptr;  // team w records into shard w
+  std::vector<simt::TeamTrace*> traces;     // empty, or team w's ring
+  /// Empty, or team w's per-op hooks (entries may be null).  A team killed
+  /// inside an op reports it through on_skipped.
+  std::vector<core::BatchOpObserver*> observers;
+};
+
+struct HistoryOutcome {
+  std::vector<bool> killed;  // per team: unwound by sched::TeamKilled
+  std::uint64_t steps = 0;   // scheduler global steps consumed
+};
+
+/// Run `ops` on opt.workers threads and join them.  With a scheduler (the
+/// one `sl` was built with) the teams are its participants and killed teams
+/// never call leave(); without one they run free.
+HistoryOutcome run_history(core::Gfsl& sl, sched::StepScheduler* sched,
+                           const std::vector<Op>& ops,
+                           const HistoryOptions& opt);
 
 struct CheckResult {
   bool ok = true;

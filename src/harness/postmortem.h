@@ -46,7 +46,7 @@ struct PostmortemContext {
   const core::Gfsl* gfsl = nullptr;
   const obs::MetricsRegistry* metrics = nullptr;
   /// Flight-recorder rings, one per team (null entries are skipped).
-  std::vector<const simt::TeamTrace*> rings;
+  std::vector<const simt::TeamTrace*> rings = {};
   /// Free-form repro context (seeds, kill step, workload knobs), emitted
   /// verbatim into the "info" object.
   std::vector<std::pair<std::string, std::string>> info;

@@ -9,20 +9,11 @@
 #include <cerrno>
 #include <cstring>
 #include <map>
-#include <memory>
-#include <thread>
 #include <vector>
 
-#include "core/gfsl.h"
-#include "core/snapshot.h"
-#include "device/device_memory.h"
-#include "device/epoch.h"
-#include "device/persist.h"
 #include "harness/history.h"
 #include "harness/postmortem.h"
 #include "harness/workload.h"
-#include "sched/lease.h"
-#include "sched/step_scheduler.h"
 
 namespace gfsl::harness {
 
@@ -57,20 +48,34 @@ void jwrite(int fd, const JournalRec& r) {
 }
 
 core::GfslConfig gfsl_config(const ProcCrashSweepConfig& cfg) {
-  core::GfslConfig gcfg;
-  gcfg.team_size = cfg.team_size;
-  gcfg.pool_chunks = cfg.pool_chunks;
-  return gcfg;
+  return {.team_size = cfg.team_size, .pool_chunks = cfg.pool_chunks};
 }
 
 std::vector<Op> sweep_ops(const ProcCrashSweepConfig& cfg) {
-  WorkloadConfig wl;
-  wl.mix = kMix_20_20_60;  // update-heavy: splits, merges, reclaim traffic
-  wl.key_range = cfg.key_range;
-  wl.num_ops = cfg.ops;
-  wl.seed = cfg.wl_seed;
-  return generate_ops(wl);
+  // Update-heavy: splits, merges, reclaim traffic.
+  return generate_ops(
+      make_workload(kMix_20_20_60, cfg.key_range, cfg.ops, cfg.wl_seed));
 }
+
+// Journals each op of one child team: 'B' before it starts, 'E' after it
+// returns, each a single O_APPEND write().
+class Journal final : public core::BatchOpObserver {
+ public:
+  Journal(int fd, int worker)
+      : fd_(fd), w_(static_cast<std::uint8_t>(worker)) {}
+  void on_begin(std::uint32_t idx, const Op& op) override {
+    jwrite(fd_,
+           {'B', w_, static_cast<std::uint8_t>(op.kind), 0, idx, op.key, 0});
+  }
+  void on_end(std::uint32_t idx, const Op& op, bool result) override {
+    jwrite(fd_, {'E', w_, static_cast<std::uint8_t>(op.kind),
+                 static_cast<std::uint8_t>(result), idx, op.key, 0});
+  }
+
+ private:
+  int fd_;
+  std::uint8_t w_;
+};
 
 /// Child body: fresh region, deterministic threaded workload, journal every
 /// op, die at the armed barrier or exit(0) through mark_clean().  Never
@@ -79,58 +84,26 @@ std::vector<Op> sweep_ops(const ProcCrashSweepConfig& cfg) {
                             std::uint64_t kill_at) {
   ::alarm(cfg.alarm_seconds);  // livelock guard: SIGALRM terminates us
   try {
+    // Opened (and armed) before the structure exists, so the kill count
+    // includes the persist points of construction itself.
     device::PersistRegion region(
         region_path(cfg), device::PersistRegion::Mode::kCreate,
         {static_cast<std::uint32_t>(cfg.team_size), cfg.pool_chunks});
     if (kill_at != 0) region.arm_kill_at(kill_at);
-
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/false);
     sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic,
                                cfg.sched_seed, cfg.workers);
-    sched.attach_leases(&leases);
-    device::DeviceMemory mem;
-    device::EpochManager epochs;
-    std::unique_ptr<core::SnapshotManager> snaps;
-    if (cfg.with_snapshots) {
-      snaps = std::make_unique<core::SnapshotManager>(cfg.pool_chunks);
-    }
-    core::Gfsl sl(gfsl_config(cfg), &mem, &sched, &leases,
-                  cfg.with_epochs ? &epochs : nullptr, &region, snaps.get());
+    Rig rig(gfsl_config(cfg), cfg.attach, &sched, &region);
 
     const auto ops = sweep_ops(cfg);
     const int jfd = ::open(journal_path(cfg).c_str(),
                            O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
     if (jfd < 0) ::_exit(3);
-
-    std::vector<std::thread> threads;
-    for (int w = 0; w < cfg.workers; ++w) {
-      threads.emplace_back([&, w] {
-        simt::Team team(cfg.team_size, w, 3);
-        sched.enter(w);
-        for (std::size_t i = static_cast<std::size_t>(w); i < ops.size();
-             i += static_cast<std::size_t>(cfg.workers)) {
-          const Op& op = ops[i];
-          jwrite(jfd, {'B', static_cast<std::uint8_t>(w),
-                       static_cast<std::uint8_t>(op.kind), 0,
-                       static_cast<std::uint32_t>(i), op.key, 0});
-          bool r = false;
-          switch (op.kind) {
-            case OpKind::Insert: r = sl.insert(team, op.key, op.value); break;
-            case OpKind::Delete: r = sl.erase(team, op.key); break;
-            case OpKind::Contains: r = sl.contains(team, op.key); break;
-          }
-          jwrite(jfd, {'E', static_cast<std::uint8_t>(w),
-                       static_cast<std::uint8_t>(op.kind),
-                       static_cast<std::uint8_t>(r),
-                       static_cast<std::uint32_t>(i), op.key, 0});
-        }
-        sched.leave(w);
-      });
-    }
-    for (auto& t : threads) t.join();
+    std::vector<Journal> journals;
+    for (int w = 0; w < cfg.workers; ++w) journals.emplace_back(jfd, w);
+    HistoryOptions run;
+    run.workers = cfg.workers;
+    for (auto& j : journals) run.observers.push_back(&j);
+    (void)run_history(rig.gfsl(), &sched, ops, run);
     ::close(jfd);
     region.mark_clean();
     ::_exit(0);
@@ -163,21 +136,12 @@ struct VerifyOutcome {
 VerifyOutcome verify_image(const ProcCrashSweepConfig& cfg,
                            std::uint64_t kill_at) {
   VerifyOutcome out;
-  device::PersistRegion region(region_path(cfg),
-                               device::PersistRegion::Mode::kAttach);
+  Attach attach = cfg.attach;
+  attach.persist = Attach::Persist{region_path(cfg), /*adopt=*/true};
+  Rig rig(gfsl_config(cfg), attach);
+  core::Gfsl& sl = rig.gfsl();
+  const device::PersistRegion& region = *rig.region();
   out.recorded_points = region.recorded_persist_points();
-  sched::LeaseTable leases;
-  leases.attach(
-      static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-      /*adopt=*/true);
-  device::DeviceMemory mem;
-  device::EpochManager epochs;  // fresh: limbo is rebuilt by classification
-  std::unique_ptr<core::SnapshotManager> snaps;
-  if (cfg.with_snapshots) {
-    snaps = std::make_unique<core::SnapshotManager>(cfg.pool_chunks);
-  }
-  core::Gfsl sl(gfsl_config(cfg), &mem, /*scheduler=*/nullptr, &leases,
-                cfg.with_epochs ? &epochs : nullptr, &region, snaps.get());
   out.recovery = sl.recover();
 
   auto fail = [&](const std::string& msg,
@@ -187,25 +151,21 @@ VerifyOutcome verify_image(const ProcCrashSweepConfig& cfg,
       out.error = msg;
     }
     if (!cfg.postmortem_dir.empty()) {
-      PostmortemContext ctx;
-      ctx.reason = reason;
-      ctx.detail = msg;
-      ctx.gfsl = &sl;
-      ctx.info = {
-          {"harness", "proc_crash_sweep"},
-          {"kill_point", std::to_string(kill_at)},
-          {"wl_seed", std::to_string(cfg.wl_seed)},
-          {"sched_seed", std::to_string(cfg.sched_seed)},
-          {"workers", std::to_string(cfg.workers)},
-          {"team_size", std::to_string(cfg.team_size)},
-          {"ops", std::to_string(cfg.ops)},
-          {"key_range", std::to_string(cfg.key_range)},
-          {"with_epochs", cfg.with_epochs ? "1" : "0"},
-          {"with_snapshots", cfg.with_snapshots ? "1" : "0"},
-      };
-      (void)dump_postmortem(cfg.postmortem_dir,
-                            "postmortem_proc_crash_k" + std::to_string(kill_at),
-                            ctx);
+      (void)dump_postmortem(
+          cfg.postmortem_dir,
+          "postmortem_proc_crash_k" + std::to_string(kill_at),
+          {.reason = reason,
+           .detail = msg,
+           .gfsl = &sl,
+           .info = {{"harness", "proc_crash_sweep"},
+                    {"kill_point", std::to_string(kill_at)},
+                    {"wl_seed", std::to_string(cfg.wl_seed)},
+                    {"sched_seed", std::to_string(cfg.sched_seed)},
+                    {"workers", std::to_string(cfg.workers)},
+                    {"team_size", std::to_string(cfg.team_size)},
+                    {"ops", std::to_string(cfg.ops)},
+                    {"key_range", std::to_string(cfg.key_range)},
+                    {"attach", attach_flags(cfg.attach)}}});
     }
   };
 
@@ -265,19 +225,12 @@ VerifyOutcome verify_image(const ProcCrashSweepConfig& cfg,
   // recovered contents must equal the model with the one crashed op either
   // applied or not.
   if (cfg.workers == 1) {
-    std::map<Key, Value> model;
+    SetModel model;
     std::uint32_t crashed_opid = UINT32_MAX;
     for (const JournalRec& r : recs) {
       if (r.tag != 'E') continue;
       const Op& op = ops[r.opid];
-      bool expect = false;
-      switch (op.kind) {
-        case OpKind::Insert:
-          expect = model.emplace(op.key, op.value).second;
-          break;
-        case OpKind::Delete: expect = model.erase(op.key) != 0; break;
-        case OpKind::Contains: expect = model.count(op.key) != 0; break;
-      }
+      const bool expect = model.apply(op);
       if (expect != (r.result != 0)) {
         fail("oracle mismatch at op " + std::to_string(r.opid) +
              " (key " + std::to_string(op.key) + "): journal says " +
@@ -287,17 +240,10 @@ VerifyOutcome verify_image(const ProcCrashSweepConfig& cfg,
       }
     }
     if (!open.empty()) crashed_opid = open.begin()->first;
-    std::vector<std::pair<Key, Value>> without(model.begin(), model.end());
-    bool matches = contents == without;
+    bool matches = contents == model.collect();
     if (!matches && crashed_opid != UINT32_MAX) {
-      const Op& op = ops[crashed_opid];
-      switch (op.kind) {
-        case OpKind::Insert: model.emplace(op.key, op.value); break;
-        case OpKind::Delete: model.erase(op.key); break;
-        case OpKind::Contains: break;
-      }
-      std::vector<std::pair<Key, Value>> with(model.begin(), model.end());
-      matches = contents == with;
+      (void)model.apply(ops[crashed_opid]);
+      matches = contents == model.collect();
     }
     if (!matches) {
       fail("recovered contents match neither replay model (crashed op " +
@@ -313,7 +259,7 @@ VerifyOutcome verify_image(const ProcCrashSweepConfig& cfg,
   // surviving key resolves as a legacy, pre-history key), and its revision
   // must sit at or above the durable clock the child pushed — a regressed
   // clock would let post-restart commits reuse pre-crash revisions.
-  if (cfg.with_snapshots) {
+  if (rig.snapshots() != nullptr) {
     const std::uint64_t durable =
         static_cast<std::atomic<std::uint64_t>*>(region.durable_rev())
             ->load(std::memory_order_acquire);
@@ -392,6 +338,12 @@ ProcCrashSweepResult run_proc_crash_sweep(const ProcCrashSweepConfig& cfg,
     res.failed_at_point = point;
     res.error = msg;
   };
+  auto absorb = [&res](const VerifyOutcome& v) {
+    res.locks_released += static_cast<std::uint64_t>(v.recovery.locks_released);
+    res.intents_replayed +=
+        static_cast<std::uint64_t>(v.recovery.intents_repaired);
+    res.chunks_freed += v.recovery.chunks_freed;
+  };
 
   // Baseline: nothing armed; the clean exit records the workload's total
   // persist-point count in the superblock.
@@ -408,10 +360,7 @@ ProcCrashSweepResult run_proc_crash_sweep(const ProcCrashSweepConfig& cfg,
       return res;
     }
     res.persist_points = v.recorded_points;
-    res.locks_released += static_cast<std::uint64_t>(v.recovery.locks_released);
-    res.intents_replayed +=
-        static_cast<std::uint64_t>(v.recovery.intents_repaired);
-    res.chunks_freed += v.recovery.chunks_freed;
+    absorb(v);
   }
   if (res.persist_points == 0) {
     fail(0, "baseline run crossed no persist points (nothing to sweep)");
@@ -424,28 +373,20 @@ ProcCrashSweepResult run_proc_crash_sweep(const ProcCrashSweepConfig& cfg,
   std::uint64_t since_report = 0;
   for (std::uint64_t k = 1; k <= res.persist_points; k += stride) {
     ++res.runs;
-    const ChildExit ce = run_child(cfg, k, &cerr);
-    if (ce == ChildExit::kKilled) {
-      ++res.kills_landed;
-    } else if (ce != ChildExit::kClean) {
-      // kClean can only mean the armed point was never reached — the
+    if (run_child(cfg, k, &cerr) != ChildExit::kKilled) {
+      // A clean exit means the armed point was never reached — the
       // deterministic schedule makes that a sweep bug, not a tolerance.
       fail(k, cerr.empty() ? "armed child exited cleanly before its kill point"
                            : cerr);
       return res;
-    } else {
-      fail(k, "armed child exited cleanly before its kill point");
-      return res;
     }
+    ++res.kills_landed;
     const auto v = verify_image(cfg, k);
     if (!v.ok) {
       fail(k, v.error);
       return res;
     }
-    res.locks_released += static_cast<std::uint64_t>(v.recovery.locks_released);
-    res.intents_replayed +=
-        static_cast<std::uint64_t>(v.recovery.intents_repaired);
-    res.chunks_freed += v.recovery.chunks_freed;
+    absorb(v);
     if (progress != nullptr && ++since_report >= report_every) {
       since_report = 0;
       std::fprintf(progress,

@@ -31,6 +31,8 @@
 #include <cstdio>
 #include <string>
 
+#include "harness/rig.h"
+
 namespace gfsl::harness {
 
 struct ProcCrashSweepConfig {
@@ -42,18 +44,19 @@ struct ProcCrashSweepConfig {
   std::uint64_t sched_seed = 1;
   std::uint32_t pool_chunks = 1u << 14;
   std::uint64_t stride = 1;  // kill at every stride-th persist point
-  // Attach an EpochManager in the child: kills then also land inside
-  // retire/recycle transitions and recovery must rebuild limbo accounting
-  // from the generation stamps alone.
-  bool with_epochs = false;
-  // Attach a SnapshotManager in both child and parent: child kills then also
-  // land inside version-record stamps, commit-slot windows, and durable
-  // revision CAS-max updates.  After recover(), the parent opens a fresh
-  // snapshot and its scan_at must equal the recovered contents exactly (the
-  // chains died with the child; every surviving key resolves as legacy), and
-  // the restored revision clock must be at least the durable revision —
-  // failures dump a `snapshot_mismatch` postmortem.
-  bool with_snapshots = false;
+  // What child and parent arm (harness/rig.h).  The region — created fresh
+  // in the child, attached in the parent — and its lease table are always
+  // armed by the sweep itself; `attach.persist` is ignored.
+  //   * epochs: kills also land inside retire/recycle transitions and
+  //     recovery must rebuild limbo accounting from the generation stamps.
+  //   * snapshots: child kills also land inside version-record stamps,
+  //     commit-slot windows and durable revision CAS-max updates.  After
+  //     recover(), the parent opens a fresh snapshot whose scan_at must equal
+  //     the recovered contents exactly (the chains died with the child; every
+  //     surviving key resolves as legacy), and the restored revision clock
+  //     must be at least the durable revision — failures dump a
+  //     `snapshot_mismatch` postmortem.
+  Attach attach;
   // Region + journal live under this directory (must exist; files are
   // recreated per run and removed on success).
   std::string work_dir = ".";

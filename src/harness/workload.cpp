@@ -21,6 +21,17 @@ Prefill default_prefill(const Mix& mix) {
   return Prefill::HalfRange;
 }
 
+WorkloadConfig make_workload(const Mix& mix, std::uint64_t range,
+                             std::uint64_t ops, std::uint64_t seed) {
+  WorkloadConfig wl;
+  wl.mix = mix;
+  wl.key_range = range;
+  wl.num_ops = ops;
+  wl.prefill = default_prefill(mix);
+  wl.seed = seed;
+  return wl;
+}
+
 std::vector<Op> generate_ops(const WorkloadConfig& cfg) {
   if (cfg.mix.insert_pct + cfg.mix.delete_pct + cfg.mix.contains_pct != 100) {
     throw std::invalid_argument("operation mix must sum to 100");

@@ -57,6 +57,10 @@ struct WorkloadConfig {
 /// The per-launch operation array.
 std::vector<Op> generate_ops(const WorkloadConfig& cfg);
 
+/// A config for `mix` over [1, range] with the mix's default prefill.
+WorkloadConfig make_workload(const Mix& mix, std::uint64_t range,
+                             std::uint64_t ops, std::uint64_t seed);
+
 /// Sorted, distinct <key, value> prefill pairs per the config's Prefill mode.
 std::vector<std::pair<Key, Value>> generate_prefill(const WorkloadConfig& cfg);
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "device/device_memory.h"
 #include "harness/crash_sweep.h"
 #include "harness/history.h"
+#include "harness/options.h"
 #include "obs/metrics.h"
 #include "sched/lease.h"
 #include "sched/step_scheduler.h"
@@ -402,7 +404,7 @@ TEST(CrashSweepBatched, BatchedSweepWithEpochPins) {
   cfg.stride = 7;
   cfg.batched = true;
   cfg.batch_shard_ops = 6;
-  cfg.with_epochs = true;
+  cfg.attach.epochs = true;
   const auto res = run_crash_sweep(cfg);
   EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
                       << res.error;
@@ -425,7 +427,7 @@ TEST(CrashSweepSnapshots, HeldSnapshotSurvivesEveryKill) {
   cfg.wl_seed = 51;
   cfg.sched_seed = 52;
   cfg.stride = 5;
-  cfg.with_snapshots = true;
+  cfg.attach.snapshots = true;
   cfg.prefill = 10;
   const auto res = run_crash_sweep(cfg);
   EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
@@ -450,8 +452,8 @@ TEST(CrashSweepSnapshots, HeldSnapshotSurvivesBatchedKillsWithEpochs) {
   cfg.stride = 7;
   cfg.batched = true;
   cfg.batch_shard_ops = 6;
-  cfg.with_epochs = true;
-  cfg.with_snapshots = true;
+  cfg.attach.epochs = true;
+  cfg.attach.snapshots = true;
   cfg.prefill = 7;
   const auto res = run_crash_sweep(cfg);
   EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
@@ -479,7 +481,7 @@ TEST(CrashSweepForesight, BoundedSweepWithHintedDescents) {
   cfg.wl_seed = 71;
   cfg.sched_seed = 72;
   cfg.stride = 5;
-  cfg.with_foresight = true;
+  cfg.attach.foresight = true;
   const auto res = run_crash_sweep(cfg);
   EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
                       << res.error;
@@ -500,8 +502,8 @@ TEST(CrashSweepForesight, HintedSweepWithEpochReclaim) {
   cfg.wl_seed = 81;
   cfg.sched_seed = 82;
   cfg.stride = 7;
-  cfg.with_epochs = true;
-  cfg.with_foresight = true;
+  cfg.attach.epochs = true;
+  cfg.attach.foresight = true;
   const auto res = run_crash_sweep(cfg);
   EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
                       << res.error;
@@ -523,12 +525,85 @@ TEST(CrashSweepForesight, HintedBatchedSweepWithEpochs) {
   cfg.stride = 7;
   cfg.batched = true;
   cfg.batch_shard_ops = 6;
-  cfg.with_epochs = true;
-  cfg.with_foresight = true;
+  cfg.attach.epochs = true;
+  cfg.attach.foresight = true;
   const auto res = run_crash_sweep(cfg);
   EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
                       << res.error;
   EXPECT_GT(res.kills_landed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The composed system (DESIGN.md §8): epochs, a held snapshot, a churning
+// hint table and checksummed chunks armed through one Attach, per-op and
+// batched.  On top of the per-sidecar checks, the post-medic scrub_pass must
+// find zero seal mismatches: every lock the repair path released was
+// restamped.
+
+TEST(CrashSweepComposed, EveryInProcessSidecarArmed) {
+  for (const bool batched : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      CrashSweepConfig cfg;
+      cfg.ops = 48;
+      cfg.key_range = 24;
+      cfg.prefill = cfg.key_range / 2;
+      cfg.stride = 4;
+      cfg.wl_seed = seed;
+      cfg.sched_seed = seed ^ 0x9E3779B97F4A7C15ull;
+      cfg.batched = batched;
+      cfg.attach.epochs = true;
+      cfg.attach.snapshots = true;
+      cfg.attach.foresight = true;
+      cfg.attach.integrity = harness::Attach::Integrity::kCrc32c;
+      const auto res = harness::run_crash_sweep(cfg);
+      EXPECT_TRUE(res.ok) << (batched ? "batched" : "per-op") << " seed "
+                          << seed << ", kill step " << res.failed_at_step
+                          << ": " << res.error;
+      EXPECT_GT(res.kills_landed, 0u);
+      EXPECT_EQ(res.snapshot_checks, res.runs)
+          << "every run must verify the held snapshot";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// gfsl_fuzz's crash modes print a repro made of flags; parsing it back must
+// rebuild exactly the config that failed.
+
+harness::Options parse_words(const std::string& line) {
+  std::vector<std::string> words{"gfsl_fuzz"};
+  std::size_t pos = 0;
+  while (pos < line.size()) {
+    const std::size_t end = line.find(' ', pos);
+    const std::size_t stop = end == std::string::npos ? line.size() : end;
+    if (stop > pos) words.push_back(line.substr(pos, stop - pos));
+    pos = stop + 1;
+  }
+  std::vector<const char*> argv;
+  for (const auto& w : words) argv.push_back(w.c_str());
+  return harness::Options::parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(CrashSweepRepro, PrintedFlagsParseBackToTheSameConfig) {
+  const char* cases[] = {
+      "--crash-sweep --ops 64 --range 32",
+      "--crash-sweep --ops 64 --range 32 --with-epochs --with-snapshots "
+      "--with-foresight --crash-stride 3 --postmortem-dir pm",
+      "--crash-at 17 --crash-seed 9 --workers 4 --team-size 16 --victim 2 "
+      "--prefill 5 --with-foresight",
+  };
+  for (const char* line : cases) {
+    const CrashSweepConfig cfg = harness::crash_sweep_config(parse_words(line));
+    const std::string flags = harness::crash_sweep_flags(cfg);
+    EXPECT_EQ(harness::crash_sweep_config(parse_words(flags)), cfg)
+        << line << "\n  printed: " << flags;
+  }
+  // Every armed in-process flag is printed, epochs included.
+  const CrashSweepConfig all = harness::crash_sweep_config(
+      parse_words("--with-epochs --with-snapshots --with-foresight"));
+  EXPECT_NE(harness::crash_sweep_flags(all).find(
+                "--with-epochs --with-snapshots --with-foresight"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -469,7 +469,7 @@ TEST(ReclaimCrash, SweepWithEpochsStaysConsistent) {
   cfg.ops = 96;
   cfg.key_range = 48;
   cfg.stride = 5;
-  cfg.with_epochs = true;
+  cfg.attach.epochs = true;
   const auto res = harness::run_crash_sweep(cfg);
   EXPECT_TRUE(res.ok) << res.error << " (kill step " << res.failed_at_step
                       << ")";

@@ -63,17 +63,14 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/gfsl.h"
-#include "device/device_memory.h"
 #include "device/fault_plane.h"
-#include "device/persist.h"
 #include "harness/corrupt_sweep.h"
 #include "harness/experiment.h"
 #include "harness/options.h"
 #include "harness/report.h"
+#include "harness/rig.h"
 #include "obs/metrics.h"
 #include "obs/trace_export.h"
-#include "sched/lease.h"
 
 using namespace gfsl;
 using namespace gfsl::harness;
@@ -116,25 +113,14 @@ int usage() {
 /// detect/repair/quarantine pipeline, and report what the armor did.
 int run_corrupt_cell(const Options& opt, bool csv) {
   const std::string spec = opt.get("corrupt", "");
-  const auto c1 = spec.find(':');
-  const auto c2 = c1 == std::string::npos ? std::string::npos
-                                          : spec.find(':', c1 + 1);
-  device::FaultSection section{};
-  device::FaultKind kind{};
-  if (c2 == std::string::npos ||
-      !device::parse_fault_section(spec.substr(0, c1), &section) ||
-      !device::parse_fault_kind(spec.substr(c1 + 1, c2 - c1 - 1), &kind)) {
+  CorruptSweepConfig cfg;
+  if (!parse_corrupt_cell(spec, &cfg)) {
     std::fprintf(stderr,
                  "error: --corrupt wants SECTION:KIND:SEED (sections "
                  "chunk|freelist|intent|superblock|generation, kinds "
                  "flip|multiflip|torn|stuck|dropbarrier)\n");
     return 2;
   }
-  CorruptSweepConfig cfg;
-  cfg.sections = {section};
-  cfg.kinds = {kind};
-  cfg.first_seed = std::strtoull(spec.c_str() + c2 + 1, nullptr, 0);
-  cfg.seeds = 1;
   cfg.team_size = static_cast<int>(opt.get_u64("team-size", 8));
   cfg.ops = opt.get_u64("ops", 400);
   cfg.key_range = opt.get_u64("range", 96);
@@ -175,16 +161,11 @@ int run_recover(const std::string& path, bool csv) {
                  static_cast<unsigned long long>(
                      region.recorded_persist_points()));
   }
-  sched::LeaseTable leases;
-  leases.attach(
-      static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-      /*adopt=*/true);
-  device::DeviceMemory mem;
   core::GfslConfig cfg;
   cfg.team_size = static_cast<int>(region.geometry().entries_per_chunk);
   cfg.pool_chunks = region.geometry().capacity;
-  core::Gfsl sl(cfg, &mem, nullptr, &leases, nullptr, &region);
-  const core::RecoveryReport rep = sl.recover();
+  Rig rig(cfg, Attach{}, nullptr, &region);
+  const core::RecoveryReport rep = rig->recover();
 
   Table t({"metric", "value"});
   t.add_row({"region", path});
@@ -269,27 +250,32 @@ int main(int argc, char** argv) {
     if (setup.batch_size > 0 && opt.get("structure", "gfsl") != "gfsl") {
       throw std::invalid_argument("--batch-size requires --structure gfsl");
     }
-    setup.persist_path = opt.get("persist", "");
-    if (!setup.persist_path.empty() && structure != "gfsl") {
-      throw std::invalid_argument("--persist requires --structure gfsl");
+    if (const std::string path = opt.get("persist", ""); !path.empty()) {
+      if (structure != "gfsl") {
+        throw std::invalid_argument("--persist requires --structure gfsl");
+      }
+      setup.attach.persist = Attach::Persist{path};
     }
     if (opt.get_bool("snapshot-scan") && structure != "gfsl") {
       throw std::invalid_argument("--snapshot-scan requires --structure gfsl");
     }
-    setup.foresight = opt.get_bool("foresight");
-    if (setup.foresight && structure != "gfsl") {
+    setup.attach.foresight = opt.get_bool("foresight");
+    if (setup.attach.foresight && structure != "gfsl") {
       throw std::invalid_argument("--foresight requires --structure gfsl");
     }
     setup.scrub_passes = static_cast<int>(opt.get_u64("scrub", 0));
-    setup.integrity = opt.get_bool("integrity") || setup.scrub_passes > 0;
-    if (setup.integrity && structure != "gfsl") {
-      throw std::invalid_argument(
-          "--integrity/--scrub requires --structure gfsl");
+    if (opt.get_bool("integrity") || setup.scrub_passes > 0) {
+      if (structure != "gfsl") {
+        throw std::invalid_argument(
+            "--integrity/--scrub requires --structure gfsl");
+      }
+      setup.attach.integrity = Attach::Integrity::kCrc32c;
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return usage();
   }
+  const bool integrity = setup.attach.integrity != Attach::Integrity::kOff;
   const int reps = static_cast<int>(opt.get_u64("reps", 3));
   const std::string metrics_path = opt.get("metrics-json", "");
   const std::string trace_path = opt.get("trace-out", "");
@@ -308,7 +294,7 @@ int main(int argc, char** argv) {
   }
   const bool snapshot_scan = opt.get_bool("snapshot-scan");
   if (snapshot_scan) ++telemetry_workers;  // the scanner thread's shard
-  if (setup.integrity) ++telemetry_workers;  // the scrub medic's shard
+  if (integrity) ++telemetry_workers;  // the scrub medic's shard
   obs::MetricsRegistry metrics(telemetry_workers);
   obs::TraceSession trace;
   StructureSetup detail_setup = setup;
@@ -353,8 +339,8 @@ int main(int argc, char** argv) {
     metrics.set_info("warmup_ops", std::to_string(setup.warmup_ops));
     metrics.set_info("batch_size", std::to_string(setup.batch_size));
     metrics.set_info("snapshot_scan", snapshot_scan ? "1" : "0");
-    metrics.set_info("foresight", setup.foresight ? "1" : "0");
-    metrics.set_info("integrity", setup.integrity ? "1" : "0");
+    metrics.set_info("foresight", setup.attach.foresight ? "1" : "0");
+    metrics.set_info("integrity", integrity ? "1" : "0");
     metrics.set_info("scrub_passes", std::to_string(setup.scrub_passes));
     std::ofstream out(metrics_path);
     if (!out) {
@@ -423,12 +409,12 @@ int main(int argc, char** argv) {
                                 : 0.0)});
     t.add_row({"epoch pins", std::to_string(b.epoch_pins)});
   }
-  if (setup.foresight) {
+  if (setup.attach.foresight) {
     // Read from the index itself: the priming rebuild runs on a team with
     // no metrics shard, so the shard counter would miss it.
     t.add_row({"foresight rebuilds", std::to_string(detail.foresight_rebuilds)});
   }
-  if (setup.foresight && detail_setup.metrics != nullptr) {
+  if (setup.attach.foresight && detail_setup.metrics != nullptr) {
     // Hint-path effectiveness of the one armed detail run.
     const obs::MetricsShard all = metrics.merged();
     const double hits = static_cast<double>(all.counter(obs::kForesightHits));
@@ -447,7 +433,7 @@ int main(int argc, char** argv) {
     t.add_row({"snapshot scans expired",
                std::to_string(detail.snapshot_scans_expired)});
   }
-  if (setup.integrity) {
+  if (integrity) {
     t.add_row({"sealed chunks", std::to_string(detail.sealed_chunks)});
     t.add_row({"scrub suspects", std::to_string(detail.scrub_suspects)});
     if (setup.scrub_passes > 0) {

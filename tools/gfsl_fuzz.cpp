@@ -1,259 +1,86 @@
 // gfsl_fuzz — randomized concurrency fuzzing under deterministic schedules.
 //
 //   gfsl_fuzz [--rounds N] [--workers N] [--ops N] [--range N] [--team-size N]
+//             [--seed S] [--with-foresight]
+//       Each round draws a fresh workload seed and scheduler seed and runs
+//       one crash-sweep run with no kill step and no lease table
+//       (harness/crash_sweep.h): validate() plus per-key linearizability of
+//       the recorded history.  --with-foresight attaches a hint table that
+//       rebuilds after every dirty event (DESIGN.md §14) and adds a
+//       full-range contains() differential against collect().  A failure
+//       prints its seeds; plug them into gfsl_replay to debug.
+//
+// Every mode exits non-zero on the first failure and accepts
+//   --postmortem-dir DIR   arm clockless flight-recorder rings and drop a
+//       gfsl-postmortem-v1 bundle (event tails, metrics, structure walk,
+//       repro parameters) into DIR, which must exist, when a run fails;
+//   --metrics-json PATH    (churn / crash / batch modes) write the merged
+//       gfsl-metrics-v1 snapshot to PATH (crash modes: alias --metrics-out).
+//
+//   gfsl_fuzz --crash-sweep [--crash-seed S] [--crash-stride N] [--workers N]
+//             [--team-size N] [--ops N] [--range N] [--victim T]
+//             [--prefill N] [--with-epochs] [--with-snapshots]
 //             [--with-foresight]
-//
-// Each round draws a fresh workload seed and scheduler seed, runs a
-// multi-team history under StepScheduler::Deterministic, then checks
-// (a) structural invariants, (b) per-key sequential consistency of the
-// recorded history.  Any violation prints the reproduction parameters —
-// plug them into gfsl_replay to debug.  Exits non-zero on the first failure.
-// --with-foresight attaches an aggressively-rebuilt hint table (DESIGN.md
-// §14) so hinted descents race the mix's splits/merges, and adds a
-// full-range contains() differential against collect() after each round
-// (failures dump `foresight_mismatch` postmortem bundles).
-//
-// Observability (every mode):
-//
-//   --postmortem-dir DIR   Arm clockless flight-recorder rings on every team
-//       and, when a round fails (validate failure, watchdog stall, history
-//       violation, oracle mismatch), drop a gfsl-postmortem-v1 bundle into
-//       DIR (which must exist) carrying the per-team event tails, a metrics
-//       snapshot, the epoch-pinned structure walk and the repro parameters.
-//   --metrics-json PATH    (churn / crash / batch modes) After the run,
-//       write the merged gfsl-metrics-v1 snapshot — op counters, retry and
-//       structure-shape histograms — to PATH.  Crash modes keep
-//       --metrics-out as an alias.
-//
-// Crash modes (harness/crash_sweep.h):
-//
-//   gfsl_fuzz --crash-sweep [--crash-seed S] [--crash-stride N]
-//             [--workers N] [--team-size N] [--ops N] [--range N]
-//             [--metrics-out FILE] [--with-snapshots] [--with-foresight]
-//       Exhaustive crash-point sweep: kill the victim team at every yield
-//       step of the seeded reference run; every run must recover (no hang,
-//       valid structure, linearizable history with the crashed op optional).
-//       --with-snapshots additionally bulk-loads a prefill, holds a
-//       snapshot of it across every kill, and requires the post-recovery
-//       scan_at to reproduce the prefill exactly (snapshot_mismatch
-//       postmortems otherwise).
-//
-//   gfsl_fuzz --crash-at STEP [--crash-seed S] ...
-//       Replay a single kill step — the repro form printed on failure.
+//       Kill the victim team at every stride-th yield step of the seeded
+//       reference run (harness/crash_sweep.h); every run must recover.
+//   gfsl_fuzz --crash-at STEP ...
+//       Replay one kill step.  A failing sweep prints this form with every
+//       flag that shaped the run.
 //
 //   gfsl_fuzz --proc-crash-sweep [--crash-seed S] [--crash-stride N]
-//             [--workers N] [--team-size N] [--ops N] [--range N]
+//             [--workers N] [--team-size N] [--ops N] [--range N] [--pool N]
 //             [--with-epochs] [--with-snapshots] [--work-dir DIR]
-//       Whole-PROCESS crash sweep (harness/proc_crash_sweep.h): a forked
-//       child runs the workload over a file-backed persist region and is
-//       SIGKILLed at every persist point; the parent attaches the orphaned
-//       region, runs Gfsl::recover() and checks the recovered contents
-//       against the child's op journal (plus an exact std::map replay when
-//       --workers 1).  --with-snapshots versions the child (kills land
-//       inside record stamps and durable-revision pushes) and makes the
-//       parent verify a fresh post-recovery snapshot: scan_at must equal
-//       the recovered contents and its revision must not regress below the
-//       durable clock.
-//
-// Corruption modes (harness/corrupt_sweep.h; DESIGN.md §15):
+//       SIGKILL a forked child at every persist point of a file-backed run;
+//       the parent recovers the image and checks it against the child's op
+//       journal (harness/proc_crash_sweep.h).
 //
 //   gfsl_fuzz --corrupt-sweep [--corrupt-seeds N] [--seed S] [--team-size N]
 //             [--ops N] [--range N] [--pool N] [--work-dir DIR]
-//             [--postmortem-dir DIR]
-//       One injected fault per run, swept across every durable section x
-//       fault kind x N seeds.  Chunk-data faults must be detected by the
-//       seal machinery and repaired (exact contents restored) or
-//       quarantined (every missing key inside a reported blast radius);
-//       durable-section faults must recover() to the exact pre-close image
-//       or be refused with a typed superblock rejection; dropped barriers
-//       must change nothing.  Any silent wrong answer fails the sweep with
-//       a one-line `--corrupt section:kind:seed` repro.
-//
 //   gfsl_fuzz --corrupt SECTION:KIND:SEED [...]
-//       Replay a single matrix cell — the repro form printed on failure.
-//       Sections: chunk freelist intent superblock generation.
-//       Kinds: flip multiflip torn stuck dropbarrier.
-//
-// Churn mode (the bounded-memory soak, DESIGN.md §9):
+//       One injected fault per run across every durable section x fault
+//       kind x seed; it must be repaired, quarantined inside a reported
+//       blast radius, or refused with a typed rejection
+//       (harness/corrupt_sweep.h, DESIGN.md §15).  The single-cell form is
+//       the repro a failure prints.  Sections: chunk freelist intent
+//       superblock generation.  Kinds: flip multiflip torn stuck dropbarrier.
 //
 //   gfsl_fuzz --churn [--workers N] [--ops N] [--range N] [--team-size N]
 //             [--pool N] [--seed S] [--persist PATH]
-//       Free-running threads drive a 50/50 insert/erase mix through a small
-//       pool for >= 10x the pool's capacity in operations.  With epoch
-//       reclamation every merged-away chunk is recycled, so the run must
-//       finish with chunks_allocated() bounded and validate() clean; without
-//       it the same workload exhausts the pool almost immediately.
-//       --persist backs the arena with a durable region at PATH (leases
-//       attached, every transition crossing a persist barrier), soaking the
-//       persistence hot path under free-running contention; the run ends
-//       with a clean shutdown mark.
-//
-// Batch mode (the differential oracle harness, DESIGN.md §10):
+//       Bounded-memory soak (DESIGN.md §9): free-running teams push a 50/50
+//       insert/erase mix through a small pool for >= 10x its capacity; epoch
+//       reclamation must keep chunks_allocated() bounded and validate()
+//       clean.  --persist backs the arena with a durable region at PATH, so
+//       every transition crosses a persist barrier.
 //
 //   gfsl_fuzz --batch [--rounds N] [--workers N] [--ops N] [--range N]
 //             [--team-size N] [--seed S]
-//       Each round draws a random mixed batch and replays it against a
-//       std::map oracle (tests/oracle.h): every per-op outcome and the final
-//       structure must match the submission-order reference.  Rounds
-//       alternate single-team run_batch and the multi-team stealing runner,
-//       and attach an EpochManager on every second round so batched descent
-//       reuse is fuzzed against concurrent reclamation too.
-#include <atomic>
+//       Differential oracle (DESIGN.md §10): random mixed batches replayed
+//       against a std::map oracle (tests/oracle.h), alternating single-team
+//       run_batch and the multi-team stealing runner, with an EpochManager
+//       on every second pair of rounds.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <set>
-#include <thread>
 
 #include "common/random.h"
-#include "core/gfsl.h"
-#include "device/device_memory.h"
-#include "device/epoch.h"
-#include "device/persist.h"
 #include "harness/corrupt_sweep.h"
 #include "harness/crash_sweep.h"
 #include "harness/experiment.h"
-#include "harness/proc_crash_sweep.h"
-#include "harness/history.h"
 #include "harness/options.h"
 #include "harness/postmortem.h"
+#include "harness/proc_crash_sweep.h"
+#include "harness/rig.h"
 #include "harness/runner.h"
 #include "harness/workload.h"
 #include "obs/trace_export.h"
 #include "oracle.h"
-#include "sched/lease.h"
-#include "sched/step_scheduler.h"
 #include "simt/trace.h"
 
 using namespace gfsl;
 using namespace gfsl::harness;
 
 namespace {
-
-struct RoundParams {
-  std::uint64_t wl_seed;
-  std::uint64_t sched_seed;
-  int workers;
-  int team_size;
-  std::uint64_t ops;
-  std::uint64_t range;
-  std::uint64_t round = 0;
-  bool with_foresight = false;  // attach a hint table, verify the hinted path
-  std::string postmortem_dir;  // non-empty: arm rings, dump on failure
-};
-
-bool run_round(const RoundParams& p, std::string* err) {
-  device::DeviceMemory mem;
-  sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic,
-                             p.sched_seed, p.workers);
-  core::GfslConfig cfg;
-  cfg.team_size = p.team_size;
-  cfg.pool_chunks = 1u << 14;
-  // Threshold 1 keeps the table churning, so hinted descents race every
-  // split/merge the mix produces instead of settling into a stale no-op.
-  std::unique_ptr<core::ForesightIndex> foresight;
-  if (p.with_foresight) {
-    foresight = std::make_unique<core::ForesightIndex>(
-        cfg.pool_chunks, /*stride=*/1, /*rebuild_threshold=*/1);
-  }
-  core::Gfsl sl(cfg, &mem, &sched, nullptr, nullptr, nullptr, nullptr,
-                foresight.get());
-
-  WorkloadConfig wl;
-  wl.mix = kMix_20_20_60;  // update-heavy: maximum structural churn
-  wl.key_range = p.range;
-  wl.num_ops = p.ops;
-  wl.seed = p.wl_seed;
-  const auto ops = generate_ops(wl);
-
-  HistoryLog log(p.ops / static_cast<std::uint64_t>(p.workers) + 8, p.workers);
-  std::vector<std::unique_ptr<simt::TeamTrace>> rings;
-  if (!p.postmortem_dir.empty()) {
-    for (int w = 0; w < p.workers; ++w) {
-      rings.push_back(
-          std::make_unique<simt::TeamTrace>(1024, /*timestamps=*/false));
-    }
-  }
-  auto dump_failure = [&](const std::string& reason,
-                          const std::string& detail) {
-    if (p.postmortem_dir.empty()) return;
-    PostmortemContext ctx;
-    ctx.reason = reason;
-    ctx.detail = detail;
-    ctx.gfsl = &sl;
-    for (const auto& ring : rings) ctx.rings.push_back(ring.get());
-    ctx.info = {{"harness", "fuzz_round"},
-                {"round", std::to_string(p.round)},
-                {"wl_seed", std::to_string(p.wl_seed)},
-                {"sched_seed", std::to_string(p.sched_seed)},
-                {"workers", std::to_string(p.workers)},
-                {"team_size", std::to_string(p.team_size)},
-                {"ops", std::to_string(p.ops)},
-                {"range", std::to_string(p.range)},
-                {"with_foresight", p.with_foresight ? "1" : "0"}};
-    (void)dump_postmortem(p.postmortem_dir,
-                          "postmortem_round_" + std::to_string(p.round), ctx);
-  };
-  std::vector<std::thread> threads;
-  for (int w = 0; w < p.workers; ++w) {
-    threads.emplace_back([&, w] {
-      simt::Team team(p.team_size, w, 3);
-      if (!rings.empty()) {
-        team.set_trace(rings[static_cast<std::size_t>(w)].get());
-      }
-      sched.enter(w);
-      for (std::size_t i = static_cast<std::size_t>(w); i < ops.size();
-           i += static_cast<std::size_t>(p.workers)) {
-        const Op& op = ops[i];
-        const auto t = log.begin_op();
-        bool r = false;
-        switch (op.kind) {
-          case OpKind::Insert: r = sl.insert(team, op.key, op.value); break;
-          case OpKind::Delete: r = sl.erase(team, op.key); break;
-          case OpKind::Contains: r = sl.contains(team, op.key); break;
-        }
-        log.end_op(w, t, op.kind, op.key, r);
-      }
-      sched.leave(w);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  const auto rep = sl.validate(/*strict=*/false);
-  if (!rep.ok) {
-    *err = "structure invalid: " + rep.error;
-    dump_failure("validate_failure", *err);
-    return false;
-  }
-  std::vector<Key> final_keys;
-  for (const auto& [k, v] : sl.collect()) final_keys.push_back(k);
-  const auto check = check_history(log.merged(), {}, final_keys);
-  if (!check.ok) {
-    *err = "history violation: " + check.error;
-    dump_failure("history_violation", *err);
-    return false;
-  }
-  // Hinted-read differential: with the table attached, a quiescent contains()
-  // over every key in range — most consults land on a published hint — must
-  // agree exactly with the structure walk collect() just did.  Any divergence
-  // means a hint steered a search past its key: the one failure mode the
-  // generation/zombie validation exists to make impossible.
-  if (p.with_foresight) {
-    std::set<Key> live(final_keys.begin(), final_keys.end());
-    simt::Team verifier(p.team_size, p.workers, 3);  // medic-style fresh id
-    for (std::uint64_t k = 1; k <= p.range; ++k) {
-      const Key key = static_cast<Key>(k);
-      if (sl.contains(verifier, key) != (live.count(key) != 0)) {
-        *err = "foresight mismatch: contains(" + std::to_string(k) +
-               ") disagrees with collect()";
-        dump_failure("foresight_mismatch", *err);
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 void dump_metrics(const obs::MetricsRegistry& reg, const std::string& path) {
   if (path.empty()) return;
@@ -263,26 +90,12 @@ void dump_metrics(const obs::MetricsRegistry& reg, const std::string& path) {
 }
 
 int run_crash_mode(const Options& opt) {
-  CrashSweepConfig cfg;
-  cfg.workers = static_cast<int>(opt.get_u64("workers", 3));
-  cfg.team_size = static_cast<int>(opt.get_u64("team-size", 8));
-  cfg.ops = opt.get_u64("ops", 96);
-  cfg.key_range = opt.get_u64("range", 48);
-  cfg.victim = static_cast<int>(opt.get_u64("victim", 0));
-  cfg.stride = opt.get_u64("crash-stride", 1);
-  cfg.with_epochs = opt.get_bool("with-epochs");
-  cfg.with_snapshots = opt.get_bool("with-snapshots");
-  cfg.with_foresight = opt.get_bool("with-foresight");
-  cfg.prefill = opt.get_u64("prefill", cfg.key_range / 2);
-  const auto seed = opt.get_u64("crash-seed", 0xC4A5);
-  cfg.wl_seed = seed;
-  cfg.sched_seed = seed ^ 0x9E3779B97F4A7C15ull;
+  const CrashSweepConfig cfg = crash_sweep_config(opt);
   obs::MetricsRegistry reg(cfg.workers + 1);
   reg.set_info("mode", opt.has("crash-at") ? "crash-at" : "crash-sweep");
   // --metrics-json is the cross-mode spelling; --metrics-out predates it.
   const std::string metrics_out =
       opt.get("metrics-json", opt.get("metrics-out", ""));
-  cfg.postmortem_dir = opt.get("postmortem-dir", "");
 
   if (opt.has("crash-at")) {
     const auto step = opt.get_u64("crash-at", 1);
@@ -298,15 +111,10 @@ int run_crash_mode(const Options& opt) {
         &reg);
     dump_metrics(reg, metrics_out);
     if (!r.ok) {
-      std::printf(
-          "FAIL crash-at %llu: %s\n"
-          "  repro: --crash-at %llu --crash-seed %llu --workers %d "
-          "--team-size %d --ops %llu --range %llu\n",
-          static_cast<unsigned long long>(step), r.error.c_str(),
-          static_cast<unsigned long long>(step),
-          static_cast<unsigned long long>(seed), cfg.workers, cfg.team_size,
-          static_cast<unsigned long long>(cfg.ops),
-          static_cast<unsigned long long>(cfg.key_range));
+      std::printf("FAIL crash-at %llu: %s\n  repro: --crash-at %llu %s\n",
+                  static_cast<unsigned long long>(step), r.error.c_str(),
+                  static_cast<unsigned long long>(step),
+                  crash_sweep_flags(cfg).c_str());
       return 1;
     }
     std::printf("crash-at %llu clean (victim %s, %d locks medic-recovered)\n",
@@ -318,16 +126,12 @@ int run_crash_mode(const Options& opt) {
   const auto sweep = run_crash_sweep(cfg, &reg, stdout);
   dump_metrics(reg, metrics_out);
   if (!sweep.ok) {
-    std::printf(
-        "FAIL crash-sweep at step %llu: %s\n"
-        "  repro: --crash-at %llu --crash-seed %llu --workers %d "
-        "--team-size %d --ops %llu --range %llu\n",
-        static_cast<unsigned long long>(sweep.failed_at_step),
-        sweep.error.c_str(),
-        static_cast<unsigned long long>(sweep.failed_at_step),
-        static_cast<unsigned long long>(seed), cfg.workers, cfg.team_size,
-        static_cast<unsigned long long>(cfg.ops),
-        static_cast<unsigned long long>(cfg.key_range));
+    std::printf("FAIL crash-sweep at step %llu: %s\n"
+                "  repro: --crash-at %llu %s\n",
+                static_cast<unsigned long long>(sweep.failed_at_step),
+                sweep.error.c_str(),
+                static_cast<unsigned long long>(sweep.failed_at_step),
+                crash_sweep_flags(cfg).c_str());
     return 1;
   }
   std::printf(
@@ -342,10 +146,8 @@ int run_crash_mode(const Options& opt) {
       static_cast<unsigned long long>(sweep.snapshot_checks), cfg.workers,
       cfg.team_size, static_cast<unsigned long long>(cfg.ops),
       static_cast<unsigned long long>(cfg.key_range),
-      static_cast<unsigned long long>(seed),
-      (std::string(cfg.with_snapshots ? " --with-snapshots" : "") +
-       (cfg.with_foresight ? " --with-foresight" : ""))
-          .c_str());
+      static_cast<unsigned long long>(cfg.wl_seed),
+      attach_flags(cfg.attach).c_str());
   return 0;
 }
 
@@ -357,8 +159,8 @@ int run_proc_crash_mode(const Options& opt) {
   cfg.key_range = opt.get_u64("range", 64);
   cfg.pool_chunks = static_cast<std::uint32_t>(opt.get_u64("pool", 1u << 14));
   cfg.stride = opt.get_u64("crash-stride", 1);
-  cfg.with_epochs = opt.get_bool("with-epochs");
-  cfg.with_snapshots = opt.get_bool("with-snapshots");
+  cfg.attach.epochs = opt.get_bool("with-epochs");
+  cfg.attach.snapshots = opt.get_bool("with-snapshots");
   cfg.work_dir = opt.get("work-dir", ".");
   cfg.postmortem_dir = opt.get("postmortem-dir", "");
   const auto seed = opt.get_u64("crash-seed", 0xAB5E);
@@ -375,9 +177,7 @@ int run_proc_crash_mode(const Options& opt) {
         sweep.error.c_str(), static_cast<unsigned long long>(seed),
         cfg.workers, cfg.team_size, static_cast<unsigned long long>(cfg.ops),
         static_cast<unsigned long long>(cfg.key_range),
-        (std::string(cfg.with_epochs ? " --with-epochs" : "") +
-         (cfg.with_snapshots ? " --with-snapshots" : ""))
-            .c_str());
+        attach_flags(cfg.attach).c_str());
     return 1;
   }
   std::printf(
@@ -395,9 +195,7 @@ int run_proc_crash_mode(const Options& opt) {
       cfg.team_size, static_cast<unsigned long long>(cfg.ops),
       static_cast<unsigned long long>(cfg.key_range),
       static_cast<unsigned long long>(seed),
-      (std::string(cfg.with_epochs ? " epochs" : "") +
-       (cfg.with_snapshots ? " snapshots" : ""))
-          .c_str());
+      attach_flags(cfg.attach).c_str());
   return 0;
 }
 
@@ -414,22 +212,10 @@ int run_corrupt_mode(const Options& opt) {
 
   // --corrupt SECTION:KIND:SEED narrows the matrix to one cell.
   const std::string cell = opt.get("corrupt", "");
-  if (!cell.empty()) {
-    const auto c1 = cell.find(':');
-    const auto c2 = cell.find(':', c1 == std::string::npos ? c1 : c1 + 1);
-    device::FaultSection section;
-    device::FaultKind kind;
-    if (c1 == std::string::npos || c2 == std::string::npos ||
-        !device::parse_fault_section(cell.substr(0, c1), &section) ||
-        !device::parse_fault_kind(cell.substr(c1 + 1, c2 - c1 - 1), &kind)) {
-      std::printf("bad --corrupt spec '%s' (want SECTION:KIND:SEED)\n",
-                  cell.c_str());
-      return 2;
-    }
-    cfg.sections = {section};
-    cfg.kinds = {kind};
-    cfg.first_seed = std::strtoull(cell.c_str() + c2 + 1, nullptr, 10);
-    cfg.seeds = 1;
+  if (!cell.empty() && !parse_corrupt_cell(cell, &cfg)) {
+    std::printf("bad --corrupt spec '%s' (want SECTION:KIND:SEED)\n",
+                cell.c_str());
+    return 2;
   }
 
   const auto res = run_corrupt_sweep(cfg, stdout);
@@ -471,63 +257,27 @@ int run_churn_mode(const Options& opt) {
   const std::string persist_path = opt.get("persist", "");
   const bool want_obs = !metrics_json.empty() || !pm_dir.empty();
 
-  device::DeviceMemory mem;
-  device::EpochManager epochs;
-  core::GfslConfig cfg;
-  cfg.team_size = team_size;
-  cfg.pool_chunks = pool;
   // --persist: back the arena with a durable region so every transition in
   // the churn storm crosses a persist barrier — the persistence hot path
   // soaked under free-running (non-deterministic) contention.
-  std::unique_ptr<device::PersistRegion> region;
-  std::unique_ptr<sched::LeaseTable> leases;
-  if (!persist_path.empty()) {
-    region = std::make_unique<device::PersistRegion>(
-        persist_path, device::PersistRegion::Mode::kCreate,
-        device::PersistGeometry{static_cast<std::uint32_t>(team_size), pool});
-    leases = std::make_unique<sched::LeaseTable>();
-    leases->attach(
-        static_cast<std::atomic<std::uint32_t>*>(region->lease_slots()),
-        /*adopt=*/false);
-  }
-  core::Gfsl sl(cfg, &mem, nullptr, leases.get(), &epochs, region.get());
+  Attach attach{.epochs = true};
+  if (!persist_path.empty()) attach.persist = Attach::Persist{persist_path};
+  Rig rig({.team_size = team_size, .pool_chunks = pool}, attach);
+  core::Gfsl& sl = rig.gfsl();
+  device::PersistRegion* region = rig.region();
 
   obs::MetricsRegistry reg(workers);
   reg.set_info("mode", "churn");
   std::vector<std::unique_ptr<simt::TeamTrace>> rings;
-  if (!pm_dir.empty()) {
-    for (int w = 0; w < workers; ++w) {
-      rings.push_back(
-          std::make_unique<simt::TeamTrace>(1024, /*timestamps=*/false));
-    }
+  std::vector<simt::TeamTrace*> ring_ptrs;
+  for (int w = 0; w < workers && !pm_dir.empty(); ++w) {
+    rings.push_back(
+        std::make_unique<simt::TeamTrace>(1024, /*timestamps=*/false));
+    ring_ptrs.push_back(rings.back().get());
   }
 
-  std::atomic<int> oom{0};
-  std::vector<std::thread> threads;
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      simt::Team team(team_size, w, 3);
-      if (want_obs) team.set_metrics(&reg.shard(w));
-      if (!rings.empty()) {
-        team.set_trace(rings[static_cast<std::size_t>(w)].get());
-      }
-      Xoshiro256ss rng(derive_seed(seed, static_cast<std::uint64_t>(w)));
-      const std::uint64_t n = total_ops / static_cast<std::uint64_t>(workers);
-      try {
-        for (std::uint64_t i = 0; i < n; ++i) {
-          const Key k = 1 + static_cast<Key>(rng.below(range));
-          if (rng.below(2) == 0) {
-            sl.insert(team, k, k);
-          } else {
-            sl.erase(team, k);
-          }
-        }
-      } catch (const std::bad_alloc&) {
-        oom.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  const int oom = run_churn_storm(sl, workers, total_ops, range, seed,
+                                  want_obs ? &reg : nullptr, ring_ptrs);
   if (want_obs) sample_structure_gauges(reg, sl);
 
   bool ok = true;
@@ -538,8 +288,8 @@ int run_churn_mode(const Options& opt) {
     if (detail.empty()) detail = msg;
     ok = false;
   };
-  if (oom.load() != 0) {
-    fail(std::to_string(oom.load()) + " team(s) hit pool exhaustion");
+  if (oom != 0) {
+    fail(std::to_string(oom) + " team(s) hit pool exhaustion");
   }
   const auto rep = sl.validate(/*strict=*/false);
   if (!rep.ok) {
@@ -559,20 +309,20 @@ int run_churn_mode(const Options& opt) {
   dump_metrics(reg, metrics_json);
   if (!ok) {
     if (!pm_dir.empty()) {
-      PostmortemContext ctx;
-      ctx.reason = validate_failed ? "validate_failure" : "churn_anomaly";
-      ctx.detail = detail;
-      ctx.gfsl = &sl;
-      ctx.metrics = &reg;
-      for (const auto& ring : rings) ctx.rings.push_back(ring.get());
-      ctx.info = {{"harness", "churn"},
-                  {"seed", std::to_string(seed)},
-                  {"workers", std::to_string(workers)},
-                  {"team_size", std::to_string(team_size)},
-                  {"ops", std::to_string(total_ops)},
-                  {"range", std::to_string(range)},
-                  {"pool", std::to_string(pool)}};
-      (void)dump_postmortem(pm_dir, "postmortem_churn", ctx);
+      (void)dump_postmortem(
+          pm_dir, "postmortem_churn",
+          {.reason = validate_failed ? "validate_failure" : "churn_anomaly",
+           .detail = detail,
+           .gfsl = &sl,
+           .metrics = &reg,
+           .rings = {ring_ptrs.begin(), ring_ptrs.end()},
+           .info = {{"harness", "churn"},
+                    {"seed", std::to_string(seed)},
+                    {"workers", std::to_string(workers)},
+                    {"team_size", std::to_string(team_size)},
+                    {"ops", std::to_string(total_ops)},
+                    {"range", std::to_string(range)},
+                    {"pool", std::to_string(pool)}}});
     }
     std::printf("  repro: --churn --seed %llu --workers %d --team-size %d "
                 "--ops %llu --range %llu --pool %u\n",
@@ -588,7 +338,7 @@ int run_churn_mode(const Options& opt) {
       static_cast<unsigned long long>(total_ops), pool,
       static_cast<unsigned long long>(sl.chunks_reclaimed()),
       sl.chunks_allocated(),
-      static_cast<unsigned long long>(epochs.limbo_total()), workers,
+      static_cast<unsigned long long>(rig.epochs()->limbo_total()), workers,
       team_size, static_cast<unsigned long long>(range));
   if (region) {
     std::printf("  persisted: %llu barriers crossed, clean shutdown marked "
@@ -619,21 +369,14 @@ int run_batch_mode(const Options& opt) {
   for (std::uint64_t round = 0; round < rounds; ++round) {
     const std::uint64_t wl_seed = rng.next();
     const bool multi_team = (round % 2) == 1;   // odd: stealing runner
-    const bool with_epochs = (round % 4) >= 2;  // every 2nd pair: reclamation
+    // Every second pair of rounds arms reclamation.
+    const Attach attach{.epochs = (round % 4) >= 2};
 
-    device::DeviceMemory mem;
-    device::EpochManager epochs;
-    core::GfslConfig cfg;
-    cfg.team_size = team_size;
-    cfg.pool_chunks = 1u << 14;
-    core::Gfsl sl(cfg, &mem, nullptr, nullptr, with_epochs ? &epochs : nullptr);
+    Rig rig({.team_size = team_size, .pool_chunks = 1u << 14}, attach);
+    core::Gfsl& sl = rig.gfsl();
 
-    WorkloadConfig wl;
-    wl.mix = kMix_20_20_60;
-    wl.key_range = range;
-    wl.num_ops = nops;
-    wl.seed = wl_seed;
-    const auto ops = generate_ops(wl);
+    const auto ops =
+        generate_ops(make_workload(kMix_20_20_60, range, nops, wl_seed));
 
     gfsl::testing::MapOracle oracle;
     const auto want = oracle.apply_batch(ops);
@@ -649,7 +392,7 @@ int run_batch_mode(const Options& opt) {
       if (!pm_dir.empty()) rc.trace = &session;
       BatchRunOptions bo;
       bo.batch_size = nops / 4;
-      (void)run_gfsl_batched(sl, ops, rc, mem, bo, &br);
+      (void)run_gfsl_batched(sl, ops, rc, rig.mem(), bo, &br);
     } else {
       simt::Team team(team_size, 0, 3);
       if (want_obs) team.set_metrics(&reg.shard(0));
@@ -701,7 +444,7 @@ int run_batch_mode(const Options& opt) {
                     {"round", std::to_string(round)},
                     {"wl_seed", std::to_string(wl_seed)},
                     {"multi_team", multi_team ? "1" : "0"},
-                    {"with_epochs", with_epochs ? "1" : "0"},
+                    {"epochs", attach.epochs ? "1" : "0"},
                     {"workers", std::to_string(workers)},
                     {"team_size", std::to_string(team_size)},
                     {"ops", std::to_string(nops)},
@@ -716,7 +459,7 @@ int run_batch_mode(const Options& opt) {
           "  repro: --batch --seed %llu --rounds %llu --workers %d "
           "--team-size %d --ops %llu --range %llu\n",
           static_cast<unsigned long long>(round),
-          multi_team ? "multi" : "single", with_epochs ? ", epochs" : "",
+          multi_team ? "multi" : "single", attach.epochs ? ", epochs" : "",
           err.c_str(), static_cast<unsigned long long>(master),
           static_cast<unsigned long long>(round + 1), workers, team_size,
           static_cast<unsigned long long>(nops),
@@ -735,6 +478,51 @@ int run_batch_mode(const Options& opt) {
       static_cast<unsigned long long>(rounds), workers, team_size,
       static_cast<unsigned long long>(nops),
       static_cast<unsigned long long>(range));
+  return 0;
+}
+
+// Default mode: each round is a crash-sweep run with no kill step and no
+// lease table (harness/crash_sweep.h) on a fresh workload and schedule seed.
+int run_round_mode(const Options& opt) {
+  const auto rounds = opt.get_u64("rounds", 40);
+  CrashSweepConfig cfg;
+  cfg.workers = static_cast<int>(opt.get_u64("workers", 3));
+  cfg.team_size = static_cast<int>(opt.get_u64("team-size", 8));
+  cfg.ops = opt.get_u64("ops", 600);
+  cfg.key_range = opt.get_u64("range", 60);
+  cfg.attach.leases = false;
+  cfg.attach.foresight = opt.get_bool("with-foresight");
+  cfg.postmortem_dir = opt.get("postmortem-dir", "");
+  const auto master = opt.get_u64("seed", 0xF022);
+
+  Xoshiro256ss rng(master);
+  for (std::uint64_t round = 0; round < rounds; ++round) {
+    cfg.wl_seed = rng.next();
+    cfg.sched_seed = rng.next();
+    const auto r = run_crash_at(cfg, UINT64_MAX, UINT64_MAX);
+    if (!r.ok) {
+      std::printf(
+          "FAIL round %llu: %s\n"
+          "  repro: wl_seed=%llu sched_seed=%llu workers=%d team_size=%d "
+          "ops=%llu range=%llu%s\n",
+          static_cast<unsigned long long>(round), r.error.c_str(),
+          static_cast<unsigned long long>(cfg.wl_seed),
+          static_cast<unsigned long long>(cfg.sched_seed), cfg.workers,
+          cfg.team_size, static_cast<unsigned long long>(cfg.ops),
+          static_cast<unsigned long long>(cfg.key_range),
+          attach_flags(cfg.attach).c_str());
+      return 1;
+    }
+    if ((round + 1) % 10 == 0) {
+      std::printf("%llu/%llu rounds clean\n",
+                  static_cast<unsigned long long>(round + 1),
+                  static_cast<unsigned long long>(rounds));
+    }
+  }
+  std::printf("all %llu rounds clean (workers=%d team=%d ops=%llu range=%llu)\n",
+              static_cast<unsigned long long>(rounds), cfg.workers,
+              cfg.team_size, static_cast<unsigned long long>(cfg.ops),
+              static_cast<unsigned long long>(cfg.key_range));
   return 0;
 }
 
@@ -757,44 +545,5 @@ int main(int argc, char** argv) {
   if (opt.get_bool("batch")) {
     return run_batch_mode(opt);
   }
-  const auto rounds = opt.get_u64("rounds", 40);
-  RoundParams p{};
-  p.workers = static_cast<int>(opt.get_u64("workers", 3));
-  p.team_size = static_cast<int>(opt.get_u64("team-size", 8));
-  p.ops = opt.get_u64("ops", 600);
-  p.range = opt.get_u64("range", 60);
-  p.with_foresight = opt.get_bool("with-foresight");
-  p.postmortem_dir = opt.get("postmortem-dir", "");
-  const auto master = opt.get_u64("seed", 0xF022);
-
-  Xoshiro256ss rng(master);
-  for (std::uint64_t round = 0; round < rounds; ++round) {
-    p.round = round;
-    p.wl_seed = rng.next();
-    p.sched_seed = rng.next();
-    std::string err;
-    if (!run_round(p, &err)) {
-      std::printf(
-          "FAIL round %llu: %s\n"
-          "  repro: wl_seed=%llu sched_seed=%llu workers=%d team_size=%d "
-          "ops=%llu range=%llu%s\n",
-          static_cast<unsigned long long>(round), err.c_str(),
-          static_cast<unsigned long long>(p.wl_seed),
-          static_cast<unsigned long long>(p.sched_seed), p.workers,
-          p.team_size, static_cast<unsigned long long>(p.ops),
-          static_cast<unsigned long long>(p.range),
-          p.with_foresight ? " --with-foresight" : "");
-      return 1;
-    }
-    if ((round + 1) % 10 == 0) {
-      std::printf("%llu/%llu rounds clean\n",
-                  static_cast<unsigned long long>(round + 1),
-                  static_cast<unsigned long long>(rounds));
-    }
-  }
-  std::printf("all %llu rounds clean (workers=%d team=%d ops=%llu range=%llu)\n",
-              static_cast<unsigned long long>(rounds), p.workers, p.team_size,
-              static_cast<unsigned long long>(p.ops),
-              static_cast<unsigned long long>(p.range));
-  return 0;
+  return run_round_mode(opt);
 }

@@ -10,14 +10,12 @@
 // events of every team — the full workflow for cornering a concurrency bug.
 #include <cstdio>
 #include <iostream>
-#include <thread>
 
-#include "core/gfsl.h"
-#include "device/device_memory.h"
+#include "harness/history.h"
 #include "harness/oplog.h"
 #include "harness/options.h"
+#include "harness/rig.h"
 #include "harness/workload.h"
-#include "sched/step_scheduler.h"
 #include "simt/trace.h"
 
 using namespace gfsl;
@@ -78,43 +76,27 @@ int main(int argc, char** argv) {
     const int team_size = static_cast<int>(opt.get_u64("team-size", 8));
     const bool want_trace = opt.get_bool("trace");
 
-    device::DeviceMemory mem;
     sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic,
                                sched_seed, workers);
-    core::GfslConfig cfg;
-    cfg.team_size = team_size;
-    cfg.pool_chunks = 1u << 16;
-    core::Gfsl sl(cfg, &mem, &sched);
+    Rig rig({.team_size = team_size, .pool_chunks = 1u << 16}, Attach{},
+            &sched);
+    core::Gfsl& sl = rig.gfsl();
 
+    HistoryOptions run;
+    run.workers = workers;
+    run.team_seed = 1;
+    HistoryLog log(ops.size(), workers);
+    std::vector<HistoryRecorder> recorders;
     std::vector<std::unique_ptr<simt::TeamTrace>> traces;
     for (int w = 0; w < workers; ++w) {
+      recorders.emplace_back(log, w);
       traces.push_back(std::make_unique<simt::TeamTrace>(1u << 12));
+      if (want_trace) run.traces.push_back(traces.back().get());
     }
-
-    std::vector<std::thread> threads;
-    std::atomic<std::uint64_t> trues{0};
-    for (int w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        simt::Team team(team_size, w, 1);
-        if (want_trace) team.set_trace(traces[static_cast<std::size_t>(w)].get());
-        sched.enter(w);
-        std::uint64_t mine = 0;
-        for (std::size_t i = static_cast<std::size_t>(w); i < ops.size();
-             i += static_cast<std::size_t>(workers)) {
-          const Op& op = ops[i];
-          bool r = false;
-          switch (op.kind) {
-            case OpKind::Insert: r = sl.insert(team, op.key, op.value); break;
-            case OpKind::Delete: r = sl.erase(team, op.key); break;
-            case OpKind::Contains: r = sl.contains(team, op.key); break;
-          }
-          if (r) ++mine;
-        }
-        trues.fetch_add(mine);
-        sched.leave(w);
-      });
-    }
-    for (auto& t : threads) t.join();
+    for (auto& r : recorders) run.observers.push_back(&r);
+    (void)run_history(sl, &sched, ops, run);
+    std::uint64_t trues = 0;
+    for (const auto& e : log.merged()) trues += e.result ? 1 : 0;
 
     const auto rep = sl.validate(/*strict=*/false);
     std::printf(
@@ -123,7 +105,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(sched_seed),
         static_cast<unsigned long long>(sched.global_steps()));
     std::printf("ops returning true: %llu; final size: %llu; valid: %s\n",
-                static_cast<unsigned long long>(trues.load()),
+                static_cast<unsigned long long>(trues),
                 static_cast<unsigned long long>(sl.size()),
                 rep.ok ? "yes" : rep.error.c_str());
     if (want_trace) {
