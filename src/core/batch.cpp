@@ -262,6 +262,18 @@ ShardExecStats Gfsl::execute_shard(Team& team, const Op* ops,
   return ex;
 }
 
+BatchCommit::BatchCommit(SnapshotManager* snaps) : snaps_(snaps) {
+  if (snaps_ == nullptr) return;
+  slot_ = snaps_->acquire_batch_slot();
+  if (slot_ >= 0) rev_ = snaps_->begin_commit(slot_);
+}
+
+BatchCommit::~BatchCommit() {
+  if (slot_ < 0) return;
+  snaps_->end_commit(slot_);
+  snaps_->release_batch_slot(slot_);
+}
+
 BatchResult run_batch(Gfsl& sl, Team& team, const BatchRequest& ops,
                       std::size_t target_shard_ops) {
   BatchResult res;
@@ -274,34 +286,13 @@ BatchResult run_batch(Gfsl& sl, Team& team, const BatchRequest& ops,
   res.stats.shards = plan.shards.size();
   res.stats.shard_sizes.reserve(plan.shards.size());
 
-  // One revision for the whole batch (none-or-all snapshot visibility): the
-  // batch commit slot stays registered until every shard has drained, so
-  // stable_rev — and therefore every snapshot taken meanwhile — stays below
-  // it.  Slot exhaustion degrades to per-op revisions (still consistent,
-  // just not atomic as a batch).
-  SnapshotManager* snaps = sl.snapshots();
-  int batch_slot = -1;
-  Rev batch_rev = 0;
-  if (snaps != nullptr) {
-    batch_slot = snaps->acquire_batch_slot();
-    if (batch_slot >= 0) batch_rev = snaps->begin_commit(batch_slot);
-  }
-  struct BatchCommitGuard {
-    SnapshotManager* snaps;
-    int slot;
-    ~BatchCommitGuard() {
-      if (snaps != nullptr && slot >= 0) {
-        snaps->end_commit(slot);
-        snaps->release_batch_slot(slot);
-      }
-    }
-  } commit_guard{snaps, batch_slot};
-
+  // The batch commit slot stays registered until every shard has drained.
+  const BatchCommit commit(sl.snapshots());
   for (const auto& s : plan.shards) {
     res.stats.shard_sizes.push_back(s.end - s.begin);
     const ShardExecStats ex =
         sl.execute_shard(team, ops.data(), plan.order.data(), s.begin, s.end,
-                         res.outcomes.data(), nullptr, batch_rev);
+                         res.outcomes.data(), nullptr, commit.rev());
     res.stats.descent_reuses += ex.reuses;
     res.stats.full_descents += ex.fulls;
     res.stats.epoch_pins += ex.pins;

@@ -4,9 +4,10 @@
 // launched as one batch and teams pull work until the batch drains.  This
 // header defines the batch-side vocabulary — the request/result pair, the
 // per-team descent cursor that amortizes traversals across a key-sorted
-// shard, and the per-shard execution stats — plus a single-team convenience
-// driver used by the differential tests and the fuzzer.  The multi-team
-// driver lives in harness/runner.cpp (run_gfsl_batched).
+// shard, and the per-shard execution stats — plus the whole-batch revision
+// (BatchCommit) and a single-team convenience driver used by the
+// differential tests and the fuzzer.  The multi-team driver lives in
+// harness/runner.cpp (run_gfsl_batched).
 #pragma once
 
 #include <array>
@@ -23,6 +24,7 @@ class Team;
 namespace gfsl::core {
 
 class Gfsl;
+class SnapshotManager;
 
 /// A batch is just the submission-ordered op array; sorting and sharding are
 /// the engine's job (sched/batch_dispatch.h), never the caller's.
@@ -114,6 +116,27 @@ class BatchOpObserver {
   virtual void on_begin(std::uint32_t idx, const Op& op) = 0;
   virtual void on_end(std::uint32_t idx, const Op& op, bool result) = 0;
   virtual void on_skipped(std::uint32_t /*idx*/, const Op& /*op*/) {}
+};
+
+/// One MVCC revision for a whole batch (none-or-all snapshot visibility;
+/// *Jiffy*'s rule that a batch linearizes at one revision).  Construction
+/// claims a batch commit slot and begins the revision; destruction ends it
+/// and releases the slot.  While it lives, stable_rev — and so every
+/// snapshot taken meanwhile — stays below rev().  No SnapshotManager, or no
+/// free slot, falls back to per-op revisions: rev() == 0.
+class BatchCommit {
+ public:
+  explicit BatchCommit(SnapshotManager* snaps);
+  ~BatchCommit();
+  BatchCommit(const BatchCommit&) = delete;
+  BatchCommit& operator=(const BatchCommit&) = delete;
+
+  std::uint64_t rev() const { return rev_; }
+
+ private:
+  SnapshotManager* snaps_;
+  int slot_ = -1;
+  std::uint64_t rev_ = 0;
 };
 
 /// Single-team batch driver: plan, then execute every shard on `team` in

@@ -417,13 +417,11 @@ ChurnOutcome run_churn(const ChurnParams& p, const Attach& attach, Table* t) {
   double kops_sum = 0.0;
 
   for (std::uint64_t s = 0; s < p.slices; ++s) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const int oom = run_churn_storm(sl, p.workers, p.ops_per_slice,
-                                    p.key_range, p.seed + s);
-    const double sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double kops = static_cast<double>(p.ops_per_slice) / sec / 1e3;
+    const LaunchResult storm = run_churn_storm(sl, p.workers, p.ops_per_slice,
+                                               p.key_range, p.seed + s);
+    const int oom = storm.oom_teams;
+    const double kops =
+        static_cast<double>(p.ops_per_slice) / storm.seconds / 1e3;
 
     t->add_row({mode, std::to_string(s + 1), fmt(kops),
                 std::to_string(sl.chunks_allocated()),
@@ -756,35 +754,30 @@ ScanMixedOutcome run_scan_mixed_once(const ScanMixedParams& p, bool mvcc) {
     }
   });
 
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (int w = 0; w < p.workers; ++w) {
-    threads.emplace_back([&, w] {
-      simt::Team team(p.team_size, w, 3);
-      Xoshiro256ss rng(derive_seed(p.seed, static_cast<std::uint64_t>(w)));
-      const std::uint64_t n = p.ops / static_cast<std::uint64_t>(p.workers);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const Key k = 1 + static_cast<Key>(rng.below(p.key_range));
-        const auto roll = rng.below(100);
-        if (roll < 40) {
-          sl.insert(team, k, k);
-        } else if (roll < 80) {
-          sl.erase(team, k);
-        } else {
-          (void)sl.contains(team, k);
+  RunConfig rc;
+  rc.num_workers = p.workers;
+  rc.seed = 3;
+  const std::uint64_t n = p.ops / static_cast<std::uint64_t>(p.workers);
+  const LaunchResult mutators =
+      launch_teams(p.team_size, rc, [&](simt::Team& team, int w) {
+        Xoshiro256ss rng(derive_seed(p.seed, static_cast<std::uint64_t>(w)));
+        for (std::uint64_t i = 0; i < n; ++i) {
+          const Key k = 1 + static_cast<Key>(rng.below(p.key_range));
+          const auto roll = rng.below(100);
+          if (roll < 40) {
+            sl.insert(team, k, k);
+          } else if (roll < 80) {
+            sl.erase(team, k);
+          } else {
+            (void)sl.contains(team, k);
+          }
         }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+      });
   done.store(true, std::memory_order_release);
   scanner.join();
 
   ScanMixedOutcome out;
-  out.mut_kops = static_cast<double>(p.ops) / sec / 1e3;
+  out.mut_kops = static_cast<double>(p.ops) / mutators.seconds / 1e3;
   out.scans = static_cast<double>(scans.load());
   out.keys_per_scan =
       scans.load() ? static_cast<double>(keys.load()) /

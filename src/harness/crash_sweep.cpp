@@ -1,13 +1,12 @@
 #include "harness/crash_sweep.h"
 
-#include <memory>
 #include <set>
 #include <vector>
 
 #include "harness/history.h"
 #include "harness/postmortem.h"
 #include "harness/workload.h"
-#include "simt/trace.h"
+#include "obs/trace_export.h"
 
 namespace gfsl::harness {
 
@@ -91,20 +90,15 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
   for (auto& r : recorders) run.observers.push_back(&r);
   // Flight recorder: clockless rings (no steady-clock read per record) for
   // every team plus the medic, armed only when a postmortem sink is set.
-  std::vector<std::unique_ptr<simt::TeamTrace>> rings;
+  obs::TraceSession rings(1024, /*timestamps=*/false);
   if (!cfg.postmortem_dir.empty()) {
-    for (int w = 0; w <= cfg.workers; ++w) {
-      rings.push_back(
-          std::make_unique<simt::TeamTrace>(1024, /*timestamps=*/false));
-      if (w < cfg.workers) run.traces.push_back(rings.back().get());
-    }
+    rings.ensure(cfg.workers + 1);
+    run.trace = &rings;
   }
   auto fail = [&](const std::string& reason, const std::string& error) {
     res.ok = false;
     res.error = error;
     if (cfg.postmortem_dir.empty()) return res;
-    std::vector<const simt::TeamTrace*> tails;
-    for (const auto& ring : rings) tails.push_back(ring.get());
     // Every team is dead or returned: the structure walk is quiescent.
     (void)dump_postmortem(
         cfg.postmortem_dir,
@@ -115,7 +109,7 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
          .detail = error,
          .gfsl = &sl,
          .metrics = reg,
-         .rings = tails,
+         .trace = &rings,
          .info = {{"harness", "crash_sweep"},
                   {"repro", crash_sweep_flags(cfg)},
                   {"wl_seed", std::to_string(cfg.wl_seed)},
@@ -129,8 +123,8 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
     return res;
   };
 
-  const HistoryOutcome out = run_history(sl, &sched, ops, run);
-  res.steps = out.steps;
+  const LaunchResult out = run_history(sl, &sched, ops, run);
+  res.steps = sched.global_steps();
   res.victim_killed = out.killed[static_cast<std::size_t>(cfg.victim)];
   for (int w = 0; w < cfg.workers; ++w) {
     // Survivors only die via the watchdog: the run livelocked.
@@ -146,7 +140,7 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
   // the survivors should have been able to steal.
   simt::Team medic(cfg.team_size, cfg.workers, 7);
   if (reg != nullptr) medic.set_metrics(&reg->shard(cfg.workers));
-  if (!rings.empty()) medic.set_trace(rings.back().get());
+  if (rings.teams() > 0) medic.set_trace(rings.team(cfg.workers));
   res.locks_recovered = sl.recover_all_expired(medic);
 
   const auto rep = sl.validate(/*strict=*/false);

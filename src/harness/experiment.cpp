@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
-#include <memory>
 #include <thread>
 
 #include "common/random.h"
@@ -117,6 +116,24 @@ void model_run(Measurement& m, const RunResult& rr, std::size_t n_ops,
   m.team_totals = rr.team_totals;
 }
 
+/// The untimed warmup launch — reads only, from a cold L2 — then the
+/// RunConfig of the measured launch: it starts warm, as in the steady state
+/// of the paper's 10M-op launches, and alone carries the telemetry.
+template <class Launch>
+RunConfig warm_up(const WorkloadConfig& wl, const StructureSetup& setup,
+                  std::uint64_t seed_salt, Launch&& launch) {
+  RunConfig rc;
+  rc.num_workers = setup.num_workers;
+  rc.seed = derive_seed(wl.seed, seed_salt);
+  if (setup.warmup_ops > 0) {
+    (void)launch(generate_ops(warmup_config(wl, setup.warmup_ops)), rc);
+    rc.flush_cache_before = false;
+  }
+  rc.metrics = setup.metrics;
+  rc.trace = setup.trace;
+  return rc;
+}
+
 }  // namespace
 
 void sample_structure_gauges(obs::MetricsRegistry& reg, const core::Gfsl& sl) {
@@ -150,6 +167,8 @@ void sample_structure_gauges(obs::MetricsRegistry& reg, const core::Gfsl& sl) {
     reg.set_gauge(obs::kForesightEntries, static_cast<double>(fs->entries()));
     reg.set_gauge(obs::kForesightDirty,
                   static_cast<double>(fs->dirty_pending()));
+    reg.set_gauge(obs::kForesightRebuildsTotal,
+                  static_cast<double>(fs->rebuilds()));
   }
   if (const core::IntegritySidecar* ic = sl.integrity(); ic != nullptr) {
     reg.set_gauge(obs::kSealedChunks, static_cast<double>(ic->sealed_count()));
@@ -158,35 +177,27 @@ void sample_structure_gauges(obs::MetricsRegistry& reg, const core::Gfsl& sl) {
   }
 }
 
-int run_churn_storm(core::Gfsl& sl, int workers, std::uint64_t ops,
-                    std::uint64_t range, std::uint64_t seed,
-                    obs::MetricsRegistry* metrics,
-                    const std::vector<simt::TeamTrace*>& rings) {
-  std::atomic<int> oom{0};
-  std::vector<std::thread> threads;
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      simt::Team team(sl.team_size(), w, 3);
-      if (metrics != nullptr) team.set_metrics(&metrics->shard(w));
-      if (!rings.empty()) team.set_trace(rings[static_cast<std::size_t>(w)]);
-      Xoshiro256ss rng(derive_seed(seed, static_cast<std::uint64_t>(w)));
-      const std::uint64_t n = ops / static_cast<std::uint64_t>(workers);
-      try {
-        for (std::uint64_t i = 0; i < n; ++i) {
-          const Key k = 1 + static_cast<Key>(rng.below(range));
-          if (rng.below(2) == 0) {
-            sl.insert(team, k, k);
-          } else {
-            sl.erase(team, k);
-          }
-        }
-      } catch (const std::bad_alloc&) {
-        oom.fetch_add(1, std::memory_order_relaxed);
+LaunchResult run_churn_storm(core::Gfsl& sl, int workers, std::uint64_t ops,
+                             std::uint64_t range, std::uint64_t seed,
+                             obs::MetricsRegistry* metrics,
+                             obs::TraceSession* trace) {
+  RunConfig rc;
+  rc.num_workers = workers;
+  rc.seed = 3;
+  rc.metrics = metrics;
+  rc.trace = trace;
+  const std::uint64_t n = ops / static_cast<std::uint64_t>(workers);
+  return launch_teams(sl.team_size(), rc, [&](simt::Team& team, int w) {
+    Xoshiro256ss rng(derive_seed(seed, static_cast<std::uint64_t>(w)));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const Key k = 1 + static_cast<Key>(rng.below(range));
+      if (rng.below(2) == 0) {
+        sl.insert(team, k, k);
+      } else {
+        sl.erase(team, k);
       }
-    });
-  }
-  for (auto& t : threads) t.join();
-  return oom.load();
+    }
+  });
 }
 
 void apply_gfsl_contention(model::KernelRun& k,
@@ -236,8 +247,14 @@ void apply_mc_contention(model::KernelRun& k,
   grow(k.mem.lane_reads);
 }
 
-Measurement measure_gfsl(const WorkloadConfig& wl,
-                         const StructureSetup& setup) {
+namespace {
+
+/// measure_gfsl's body.  `paired` swaps in the sub-warp-teams launch
+/// (run_gfsl_paired, two teams per warp in the cost model) and its own
+/// team seed; everything else — build, prefill, warmup, sidecars, telemetry
+/// and the cost-model tail — is shared.
+Measurement measure_gfsl_launch(const WorkloadConfig& wl,
+                                const StructureSetup& setup, bool paired) {
   Measurement m;
   core::GfslConfig cfg;
   cfg.team_size = setup.team_size;
@@ -261,21 +278,12 @@ Measurement measure_gfsl(const WorkloadConfig& wl,
     sl.foresight_prime(primer);
   }
 
-  RunConfig rc;
-  rc.num_workers = setup.num_workers;
-  rc.seed = derive_seed(wl.seed, 0x6F51);
-
-  if (setup.warmup_ops > 0) {
-    const auto warm = generate_ops(warmup_config(wl, setup.warmup_ops));
-    rc.flush_cache_before = true;
-    (void)run_gfsl(sl, warm, rc, mem);
-    rc.flush_cache_before = false;  // measured run starts warm, as in steady
-                                    // state of the paper's 10M-op launches
-  }
-
+  auto launch = [&](const std::vector<Op>& launch_ops, const RunConfig& c) {
+    return paired ? run_gfsl_paired(sl, launch_ops, c, mem)
+                  : run_gfsl(sl, launch_ops, c, mem);
+  };
+  RunConfig rc = warm_up(wl, setup, paired ? 0x6F53 : 0x6F51, launch);
   const auto ops = generate_ops(wl);
-  rc.metrics = setup.metrics;  // telemetry covers only the measured run
-  rc.trace = setup.trace;
   // On-demand postmortem with no trace attached: arm a clockless
   // flight-recorder session for the measured run so the bundle has event
   // tails to show.
@@ -333,14 +341,14 @@ Measurement measure_gfsl(const WorkloadConfig& wl,
   }
 
   RunResult rr;
-  if (setup.batch_size > 0) {
+  if (setup.batch_size > 0 && !paired) {
     BatchRunOptions bo;
     bo.batch_size = setup.batch_size;
     core::BatchResult br;
     rr = run_gfsl_batched(sl, ops, rc, mem, bo, &br);
     m.batch = std::move(br.stats);
   } else {
-    rr = run_gfsl(sl, ops, rc, mem);
+    rr = launch(ops, rc);
   }
   if (scanner.joinable()) {
     scan_stop.store(true, std::memory_order_release);
@@ -375,10 +383,7 @@ Measurement measure_gfsl(const WorkloadConfig& wl,
     ctx.detail = v.error;
     ctx.gfsl = &sl;
     ctx.metrics = setup.metrics;
-    const obs::TraceSession* session = rc.trace;
-    for (int t = 0; session != nullptr && t < session->teams(); ++t) {
-      ctx.rings.push_back(session->team(t));
-    }
+    ctx.trace = rc.trace;
     ctx.info = {{"harness", "measure_gfsl"},
                 {"seed", std::to_string(wl.seed)},
                 {"ops", std::to_string(wl.num_ops)},
@@ -396,12 +401,19 @@ Measurement measure_gfsl(const WorkloadConfig& wl,
                                               setup.warps_per_block);
   apply_gfsl_contention(rr.kernel, occ, contention_inputs(wl),
                         setup.team_size);
-  model_run(m, rr, ops.size(), occ);
+  model_run(m, rr, ops.size(), occ, /*teams_per_warp=*/paired ? 2 : 1);
   m.avg_chunks_per_traversal = sl.avg_chunks_per_traversal();
   if (rig.foresight() != nullptr) {
     m.foresight_rebuilds = rig.foresight()->rebuilds();
   }
   return m;
+}
+
+}  // namespace
+
+Measurement measure_gfsl(const WorkloadConfig& wl,
+                         const StructureSetup& setup) {
+  return measure_gfsl_launch(wl, setup, /*paired=*/false);
 }
 
 Measurement measure_mc(const WorkloadConfig& wl, const StructureSetup& setup) {
@@ -415,21 +427,12 @@ Measurement measure_mc(const WorkloadConfig& wl, const StructureSetup& setup) {
 
   sl.bulk_load(generate_prefill(wl), derive_seed(wl.seed, 0xB0B));
 
-  RunConfig rc;
-  rc.num_workers = setup.num_workers;
-  rc.seed = derive_seed(wl.seed, 0x6F52);
-
-  if (setup.warmup_ops > 0) {
-    const auto warm = generate_ops(warmup_config(wl, setup.warmup_ops));
-    rc.flush_cache_before = true;
-    (void)run_mc(sl, warm, rc, mem);
-    rc.flush_cache_before = false;
-  }
-
+  auto launch = [&](const std::vector<Op>& launch_ops, const RunConfig& c) {
+    return run_mc(sl, launch_ops, c, mem);
+  };
+  const RunConfig rc = warm_up(wl, setup, 0x6F52, launch);
   const auto ops = generate_ops(wl);
-  rc.metrics = setup.metrics;  // telemetry covers only the measured run
-  rc.trace = setup.trace;
-  RunResult rr = run_mc(sl, ops, rc, mem);
+  RunResult rr = launch(ops, rc);
 
   const auto occ = model::Occupancy().compute(model::kMcKernel,
                                               setup.warps_per_block);
@@ -443,42 +446,7 @@ Measurement measure_gfsl_dual(const WorkloadConfig& wl,
   StructureSetup setup = setup_in;
   setup.team_size = 16;  // two 16-lane teams fill one 32-lane warp
   if (setup.num_workers % 2 != 0) ++setup.num_workers;
-
-  Measurement m;
-  core::GfslConfig cfg;
-  cfg.team_size = setup.team_size;
-  cfg.p_chunk = setup.p_chunk;
-  cfg.pool_chunks = gfsl_pool_chunks(wl, setup.team_size);
-  Rig rig(cfg, Attach{});
-  core::Gfsl& sl = rig.gfsl();
-  device::DeviceMemory& mem = rig.mem();
-
-  sl.bulk_load(generate_prefill(wl));
-
-  RunConfig rc;
-  rc.num_workers = setup.num_workers;
-  rc.seed = derive_seed(wl.seed, 0x6F53);
-
-  if (setup.warmup_ops > 0) {
-    const auto warm = generate_ops(warmup_config(wl, setup.warmup_ops));
-    rc.flush_cache_before = true;
-    (void)run_gfsl_paired(sl, warm, rc, mem);
-    rc.flush_cache_before = false;
-  }
-
-  const auto ops = generate_ops(wl);
-  rc.metrics = setup.metrics;  // telemetry covers only the measured run
-  rc.trace = setup.trace;
-  RunResult rr = run_gfsl_paired(sl, ops, rc, mem);
-  if (setup.metrics != nullptr) sample_structure_gauges(*setup.metrics, sl);
-
-  const auto occ = model::Occupancy().compute(model::kGfslKernel,
-                                              setup.warps_per_block);
-  apply_gfsl_contention(rr.kernel, occ, contention_inputs(wl),
-                        setup.team_size);
-  model_run(m, rr, ops.size(), occ, /*teams_per_warp=*/2);
-  m.avg_chunks_per_traversal = sl.avg_chunks_per_traversal();
-  return m;
+  return measure_gfsl_launch(wl, setup, /*paired=*/true);
 }
 
 namespace {

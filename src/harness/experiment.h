@@ -127,13 +127,13 @@ void sample_structure_gauges(obs::MetricsRegistry& reg, const core::Gfsl& sl);
 
 /// Free-running churn storm: teams 0..workers-1 each draw ops/workers 50/50
 /// insert/erase ops over keys [1, range] from their own
-/// Xoshiro256ss(derive_seed(seed, w)) and stop at pool exhaustion.  Team w
-/// records into metrics->shard(w) and rings[w] when given.  Returns how many
-/// teams hit pool exhaustion.
-int run_churn_storm(core::Gfsl& sl, int workers, std::uint64_t ops,
-                    std::uint64_t range, std::uint64_t seed,
-                    obs::MetricsRegistry* metrics = nullptr,
-                    const std::vector<simt::TeamTrace*>& rings = {});
+/// Xoshiro256ss(derive_seed(seed, w)) and stop at pool exhaustion.  One
+/// launch_teams launch: team w records into metrics->shard(w) and
+/// trace->team(w) when given.
+LaunchResult run_churn_storm(core::Gfsl& sl, int workers, std::uint64_t ops,
+                             std::uint64_t range, std::uint64_t seed,
+                             obs::MetricsRegistry* metrics = nullptr,
+                             obs::TraceSession* trace = nullptr);
 
 /// Device pool capacities emulating the GTX 970's 4 GB memory (§5.3: M&C
 /// "runs out of memory for larger structures").

@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <thread>
 #include <unordered_set>
 
 #include "core/gfsl.h"
-#include "obs/metrics.h"
 #include "sched/batch_dispatch.h"
-#include "sched/step_scheduler.h"
-#include "simt/trace.h"
 
 namespace gfsl::harness {
 
@@ -45,8 +41,8 @@ bool SetModel::apply(const Op& op) {
 
 namespace {
 
-// Forwards to the caller's hooks and remembers the op in flight, so a
-// TeamKilled unwind can report it.
+// Forwards to the caller's hooks and remembers the op in flight, so an
+// unwind (TeamKilled, or pool exhaustion) can report it.
 class InFlight final : public core::BatchOpObserver {
  public:
   explicit InFlight(core::BatchOpObserver* inner) : inner_(inner) {}
@@ -63,7 +59,7 @@ class InFlight final : public core::BatchOpObserver {
     op_ = nullptr;
     if (inner_ != nullptr) inner_->on_skipped(idx, op);
   }
-  void killed() {
+  void unwound() {
     if (op_ != nullptr) on_skipped(idx_, *op_);
   }
 
@@ -75,9 +71,8 @@ class InFlight final : public core::BatchOpObserver {
 
 }  // namespace
 
-HistoryOutcome run_history(core::Gfsl& sl, sched::StepScheduler* sched,
-                           const std::vector<Op>& ops,
-                           const HistoryOptions& opt) {
+LaunchResult run_history(core::Gfsl& sl, sched::StepScheduler* sched,
+                         const std::vector<Op>& ops, const HistoryOptions& opt) {
   const auto workers = static_cast<std::size_t>(opt.workers);
   sched::ShardPlan plan;
   std::vector<std::uint8_t> outcomes;
@@ -87,51 +82,37 @@ HistoryOutcome run_history(core::Gfsl& sl, sched::StepScheduler* sched,
                     static_cast<std::uint8_t>(core::BatchOpStatus::kSkipped));
   }
   sched::ShardQueue queue(plan);
-  std::vector<char> killed(workers, 0);
-  std::vector<std::thread> threads;
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      const int id = static_cast<int>(w);
-      simt::Team team(sl.team_size(), id, opt.team_seed);
-      if (opt.metrics != nullptr) team.set_metrics(&opt.metrics->shard(id));
-      if (!opt.traces.empty()) team.set_trace(opt.traces[w]);
-      InFlight bracket(opt.observers.empty() ? nullptr : opt.observers[w]);
-      if (sched != nullptr) sched->enter(id);
-      try {
-        if (opt.batched) {
-          int s;
-          while ((s = queue.pop(id)) >= 0) {
-            const auto& shard = plan.shards[static_cast<std::size_t>(s)];
-            (void)sl.execute_shard(team, ops.data(), plan.order.data(),
-                                   shard.begin, shard.end, outcomes.data(),
-                                   &bracket);
-          }
-        } else {
-          for (std::size_t i = w; i < ops.size(); i += workers) {
-            const Op& op = ops[i];
-            bracket.on_begin(static_cast<std::uint32_t>(i), op);
-            bool r = false;
-            switch (op.kind) {
-              case OpKind::Insert: r = sl.insert(team, op.key, op.value); break;
-              case OpKind::Delete: r = sl.erase(team, op.key); break;
-              case OpKind::Contains: r = sl.contains(team, op.key); break;
-            }
-            bracket.on_end(static_cast<std::uint32_t>(i), op, r);
-          }
+  RunConfig rc;
+  rc.num_workers = opt.workers;
+  rc.seed = opt.team_seed;
+  rc.scheduler = sched;
+  rc.metrics = opt.metrics;
+  rc.trace = opt.trace;
+  return launch_teams(sl.team_size(), rc, [&](simt::Team& team, int w) {
+    const auto uw = static_cast<std::size_t>(w);
+    InFlight bracket(opt.observers.empty() ? nullptr : opt.observers[uw]);
+    try {
+      if (opt.batched) {
+        int s;
+        while ((s = queue.pop(w)) >= 0) {
+          const auto& shard = plan.shards[static_cast<std::size_t>(s)];
+          (void)sl.execute_shard(team, ops.data(), plan.order.data(),
+                                 shard.begin, shard.end, outcomes.data(),
+                                 &bracket);
         }
-        if (sched != nullptr) sched->leave(id);
-      } catch (const sched::TeamKilled&) {
-        // yield() already deactivated a killed team and handed the baton on.
-        bracket.killed();
-        killed[w] = 1;
+      } else {
+        for (std::size_t i = uw; i < ops.size(); i += workers) {
+          const Op& op = ops[i];
+          bracket.on_begin(static_cast<std::uint32_t>(i), op);
+          const bool r = apply_op(sl, team, op);
+          bracket.on_end(static_cast<std::uint32_t>(i), op, r);
+        }
       }
-    });
-  }
-  for (auto& t : threads) t.join();
-  HistoryOutcome out;
-  out.killed.assign(killed.begin(), killed.end());
-  out.steps = sched != nullptr ? sched->global_steps() : 0;
-  return out;
+    } catch (...) {
+      bracket.unwound();
+      throw;
+    }
+  });
 }
 
 namespace {

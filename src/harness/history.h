@@ -15,8 +15,9 @@
 // the stress tests generate.
 //
 // run_history is the one deterministic driver that produces such histories:
-// W teams under a StepScheduler, op i on team i mod W (or one batch drained
-// through a shared ShardQueue), every op bracketed by a BatchOpObserver.
+// W teams (launched by harness::launch_teams) under a StepScheduler, op i on
+// team i mod W (or one batch drained through a shared ShardQueue), every op
+// bracketed by a BatchOpObserver.
 #pragma once
 
 #include <atomic>
@@ -27,19 +28,7 @@
 
 #include "common/types.h"
 #include "core/batch.h"
-
-namespace gfsl::core {
-class Gfsl;
-}
-namespace gfsl::obs {
-class MetricsRegistry;
-}
-namespace gfsl::sched {
-class StepScheduler;
-}
-namespace gfsl::simt {
-class TeamTrace;
-}
+#include "harness/runner.h"
 
 namespace gfsl::harness {
 
@@ -133,23 +122,18 @@ struct HistoryOptions {
   bool batched = false;
   std::size_t batch_shard_ops = 0;  // plan_shards granularity; 0 = auto
   obs::MetricsRegistry* metrics = nullptr;  // team w records into shard w
-  std::vector<simt::TeamTrace*> traces;     // empty, or team w's ring
+  obs::TraceSession* trace = nullptr;       // team w appends to ring w
   /// Empty, or team w's per-op hooks (entries may be null).  A team killed
   /// inside an op reports it through on_skipped.
   std::vector<core::BatchOpObserver*> observers;
 };
 
-struct HistoryOutcome {
-  std::vector<bool> killed;  // per team: unwound by sched::TeamKilled
-  std::uint64_t steps = 0;   // scheduler global steps consumed
-};
-
-/// Run `ops` on opt.workers threads and join them.  With a scheduler (the
-/// one `sl` was built with) the teams are its participants and killed teams
-/// never call leave(); without one they run free.
-HistoryOutcome run_history(core::Gfsl& sl, sched::StepScheduler* sched,
-                           const std::vector<Op>& ops,
-                           const HistoryOptions& opt);
+/// Run `ops` as one launch_teams launch of opt.workers teams.  With a
+/// scheduler (the one `sl` was built with) the teams are its participants;
+/// without one they run free.  Each team's SIMT and lock counters land in
+/// its metrics shard, a killed team's included.
+LaunchResult run_history(core::Gfsl& sl, sched::StepScheduler* sched,
+                         const std::vector<Op>& ops, const HistoryOptions& opt);
 
 struct CheckResult {
   bool ok = true;

@@ -10,6 +10,7 @@
 #include "device/epoch.h"
 #include "obs/json_util.h"
 #include "obs/metrics.h"
+#include "obs/trace_export.h"
 #include "simt/trace.h"
 
 namespace gfsl::harness {
@@ -30,9 +31,8 @@ void write_info(std::ostream& os, const PostmortemContext& ctx) {
 void write_teams(std::ostream& os, const PostmortemContext& ctx) {
   os << "  \"teams\": [";
   bool first = true;
-  for (std::size_t t = 0; t < ctx.rings.size(); ++t) {
-    const simt::TeamTrace* ring = ctx.rings[t];
-    if (ring == nullptr) continue;
+  for (int t = 0; ctx.trace != nullptr && t < ctx.trace->teams(); ++t) {
+    const simt::TeamTrace* ring = ctx.trace->team(t);
     os << (first ? "\n" : ",\n");
     first = false;
     const auto events = ring->snapshot();

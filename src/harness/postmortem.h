@@ -28,9 +28,7 @@ class Gfsl;
 }
 namespace gfsl::obs {
 class MetricsRegistry;
-}
-namespace gfsl::simt {
-class TeamTrace;
+class TraceSession;
 }
 
 namespace gfsl::harness {
@@ -45,8 +43,8 @@ struct PostmortemContext {
   /// epoch slot so a concurrent reclaimer cannot recycle chunks mid-walk.
   const core::Gfsl* gfsl = nullptr;
   const obs::MetricsRegistry* metrics = nullptr;
-  /// Flight-recorder rings, one per team (null entries are skipped).
-  std::vector<const simt::TeamTrace*> rings = {};
+  /// Optional flight-recorder session: ring t is team t's tail.
+  const obs::TraceSession* trace = nullptr;
   /// Free-form repro context (seeds, kill step, workload knobs), emitted
   /// verbatim into the "info" object.
   std::vector<std::pair<std::string, std::string>> info;

@@ -1,9 +1,12 @@
 // Concurrent kernel runner: executes an operation array against GFSL (one
 // host thread per team) or M&C (one host thread per lane stream), collecting
-// the event counts the cost model consumes.
+// the event counts the cost model consumes.  Every multi-team run in the
+// harness — these drivers, run_history, the churn storm and the scan_mixed
+// mutators — starts its teams through launch_teams.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "baseline/mc_skiplist.h"
@@ -40,6 +43,41 @@ struct RunResult {
   std::uint64_t ops_true = 0;     // operations that returned true
   bool out_of_memory = false;     // pool exhausted mid-run (M&C at big ranges)
 };
+
+/// A team's seat in a StepScheduler: participant `id` of `sched` (null =
+/// free running).
+struct SchedSeat {
+  sched::StepScheduler* sched = nullptr;
+  int id = 0;
+};
+
+/// What one multi-team launch reports back.
+struct LaunchResult {
+  simt::TeamCounters team_totals;  // summed over every team, dead or alive
+  std::vector<char> killed;        // per team: unwound by sched::TeamKilled
+  int oom_teams = 0;               // teams whose body died of bad_alloc
+  double seconds = 0.0;            // host wall time, spawn to join
+};
+
+/// The one multi-team kernel launch.  Spawns cfg.num_workers threads; team w
+/// is simt::Team(team_size, w, cfg.seed) with metrics->shard(w) and
+/// trace->team(w) attached (the registry must have a shard per team), seated
+/// at seat(w) — by default participant w of cfg.scheduler — and runs
+/// body(team, w).  A RoundRobin seat (the sub-warp pairing's lockstep) also
+/// routes the team's spin-loop sync points through its scheduler, so a
+/// spinner never starves its warp-mate.  enter() precedes the body; leave()
+/// follows only a normal return (or pool exhaustion), never a kill: the
+/// killed team's yield already handed the baton on, and a second grant would
+/// wake a waiter early and consume the deterministic RNG.  bad_alloc and
+/// sched::TeamKilled end a body; either way the team's TeamCounters are
+/// folded into its shard and summed.
+LaunchResult launch_teams(
+    int team_size, const RunConfig& cfg,
+    const std::function<void(simt::Team& team, int w)>& body,
+    const std::function<SchedSeat(int)>& seat = {});
+
+/// Execute one op through the per-op API and return its boolean result.
+bool apply_op(core::Gfsl& sl, simt::Team& team, const Op& op);
 
 /// Execute `ops` against a GFSL instance with `cfg.num_workers` teams.
 RunResult run_gfsl(core::Gfsl& sl, const std::vector<Op>& ops,

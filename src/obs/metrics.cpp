@@ -164,6 +164,7 @@ std::string_view gauge_name(GaugeId id) {
     case kVersionRecordsLive: return "version_records_live";
     case kForesightEntries: return "foresight_entries";
     case kForesightDirty: return "foresight_dirty";
+    case kForesightRebuildsTotal: return "foresight_rebuilds_total";
     case kSealedChunks: return "sealed_chunks";
     case kScrubSuspects: return "scrub_suspects";
     case kGaugeIdCount: break;

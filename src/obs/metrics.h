@@ -183,6 +183,7 @@ enum GaugeId : int {
   kVersionRecordsLive,  // version records resident in chunk chains
   kForesightEntries,    // hints in the currently published table
   kForesightDirty,      // dirty events pending since the last publish
+  kForesightRebuildsTotal,  // hint-table publishes incl. priming (no shard)
   kSealedChunks,        // chunks carrying a valid integrity seal
   kScrubSuspects,       // chunks flagged suspect, awaiting a scrub pass
   kGaugeIdCount,

@@ -79,6 +79,12 @@ class StepScheduler {
   /// marked crashed at the same step.
   void kill_at(int id, std::uint64_t step);
 
+  /// True once a kill has landed on participant `id`.  Recorded at the kill
+  /// step under the scheduler mutex, before the baton moves on, so peers
+  /// observe the death at the same point of every replay — unlike anything
+  /// the victim's thread writes while it unwinds concurrently.
+  bool killed(int id);
+
   /// Arm a kill for every participant at/after `step` — the crash-sweep
   /// watchdog: survivors that are still running by then are livelocked, and
   /// the TeamKilled they catch marks the run as a hang.
@@ -108,6 +114,7 @@ class StepScheduler {
   std::vector<bool> active_;   // participant is between enter() and leave()
   std::vector<bool> waiting_;  // participant is blocked in enter()/yield()
   std::vector<std::uint64_t> kill_step_;  // UINT64_MAX = never
+  std::vector<bool> killed_;   // a kill landed on the participant
   int granted_ = -1;           // participant currently allowed to run
   int n_ = 0;
   int entered_ = 0;            // participants that have called enter()

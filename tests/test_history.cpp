@@ -8,6 +8,9 @@
 #include "core/gfsl.h"
 #include "device/device_memory.h"
 #include "harness/history.h"
+#include "harness/rig.h"
+#include "harness/workload.h"
+#include "obs/metrics.h"
 
 namespace gfsl::harness {
 namespace {
@@ -172,6 +175,32 @@ TEST(HistoryEndToEnd, ConcurrentGfslRunIsPerKeyConsistent) {
   const auto res = check_history(log.merged(), initial, final_keys);
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.events_checked, kWorkers * 2'500u);
+}
+
+// run_history folds every team's SIMT and lock counters into its registry
+// shard — the killed team's too — so crash-sweep metrics report real work.
+TEST(HistoryEndToEnd, RegistryAttachedRunCountsSimtAndLockWork) {
+  constexpr int kWorkers = 3;
+  sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic, 5,
+                             kWorkers);
+  Rig rig({.team_size = 8, .pool_chunks = 1u << 12}, Attach{.leases = true},
+          &sched);
+  const auto wl = make_workload(kMix_20_20_60, 32, 96, 3);
+  rig->bulk_load(generate_prefill(wl));
+  sched.kill_at(0, 300);
+
+  obs::MetricsRegistry reg(kWorkers);
+  HistoryOptions opt;
+  opt.workers = kWorkers;
+  opt.metrics = &reg;
+  const LaunchResult out =
+      run_history(rig.gfsl(), &sched, generate_ops(wl), opt);
+  ASSERT_TRUE(out.killed[0]);
+  EXPECT_GT(reg.shard(0).counter(obs::kInstructions), 0u);  // the victim
+  const obs::MetricsShard all = reg.merged();
+  EXPECT_GT(all.counter(obs::kInstructions), 0u);
+  EXPECT_GT(all.counter(obs::kBallots), 0u);
+  EXPECT_GT(all.counter(obs::kLockAcquires), 0u);
 }
 
 }  // namespace

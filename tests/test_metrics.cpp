@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "harness/experiment.h"
 #include "harness/runner.h"
 #include "harness/workload.h"
 #include "obs/metrics.h"
@@ -389,6 +390,26 @@ TEST(MetricsEndToEnd, DisabledRunLeavesNoTrace) {
   const auto r = harness::run_gfsl(sl, ops, rc, mem);
   EXPECT_EQ(r.kernel.ops, ops.size());
   EXPECT_TRUE(sl.validate(false).ok);
+}
+
+TEST(MetricsEndToEnd, ForesightRebuildGaugeCountsPriming) {
+  // The priming rebuild runs on a team with no shard, so the per-team
+  // foresight_rebuilds counter misses it; the foresight_rebuilds_total
+  // gauge reads ForesightIndex::rebuilds() and includes it.
+  harness::StructureSetup setup;
+  setup.team_size = 16;
+  setup.num_workers = 2;
+  setup.warmup_ops = 0;
+  setup.attach.foresight = true;
+  MetricsRegistry reg(setup.num_workers);
+  setup.metrics = &reg;
+  const harness::Measurement m = harness::measure_gfsl(small_workload(), setup);
+
+  ASSERT_GE(m.foresight_rebuilds, 1u);
+  EXPECT_EQ(reg.gauge(kForesightRebuildsTotal),
+            static_cast<double>(m.foresight_rebuilds));
+  EXPECT_EQ(reg.merged().counter(kForesightRebuilds) + 1,
+            m.foresight_rebuilds);
 }
 
 }  // namespace

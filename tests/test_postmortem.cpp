@@ -12,6 +12,7 @@
 #include "harness/postmortem.h"
 #include "obs/json_value.h"
 #include "obs/metrics.h"
+#include "obs/trace_export.h"
 #include "simt/team.h"
 #include "simt/trace.h"
 
@@ -74,10 +75,11 @@ TEST(TeamTrace, ClocklessRingRecordsNoTimestamps) {
 TEST(Postmortem, OnDemandBundleRoundTripsThroughTheParser) {
   Fixture f(8, /*with_epochs=*/true);
   obs::MetricsRegistry reg(1);
-  simt::TeamTrace ring(64, /*timestamps=*/false);
+  obs::TraceSession rings(64, /*timestamps=*/false);
+  rings.ensure(1);
   simt::Team team(8, 0, 3);
   team.set_metrics(&reg.shard(0));
-  team.set_trace(&ring);
+  team.set_trace(rings.team(0));
   for (Key k = 1; k <= 60; ++k) f.sl.insert(team, k, k);
   for (Key k = 1; k <= 60; k += 3) f.sl.erase(team, k);
 
@@ -86,7 +88,7 @@ TEST(Postmortem, OnDemandBundleRoundTripsThroughTheParser) {
   ctx.detail = "";
   ctx.gfsl = &f.sl;
   ctx.metrics = &reg;
-  ctx.rings = {&ring};
+  ctx.trace = &rings;
   ctx.info = {{"harness", "unit_test"}, {"seed", "1"}};
   ctx.last_k = 16;
 
@@ -174,7 +176,7 @@ TEST(Postmortem, DumpToMissingDirectoryReportsFailure) {
 TEST(Postmortem, NullRingsAndEmptyContextStillSerialize) {
   PostmortemContext ctx;
   ctx.reason = "watchdog_stall";
-  ctx.rings = {nullptr, nullptr};
+  ctx.trace = nullptr;  // no flight-recorder session
   const auto parsed = dump_and_parse(ctx);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_EQ(parsed.value.string_or("reason", ""), "watchdog_stall");

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "harness/rig.h"
 #include "harness/runner.h"
 #include "harness/workload.h"
 
@@ -210,6 +211,64 @@ TEST(Runner, ResultArrayWorksForMcAndPaired) {
     std::uint64_t trues = 0;
     for (const auto b : results) trues += b;
     EXPECT_EQ(trues, r.ops_true);
+  }
+}
+
+// A killed team must not call leave(): its yield() already handed the baton
+// on, so a second grant would wake a waiter while the granted team still runs
+// and consume the Deterministic RNG.  Nor may a batch barrier learn of the
+// death from the victim's unwinding thread, which runs concurrently with the
+// next team.  Replaying one seeded kill must reproduce the same interleaving,
+// results and final contents every time.
+struct KilledRun {
+  std::uint64_t steps = 0;
+  std::vector<std::uint8_t> results;
+  std::vector<std::pair<Key, Value>> contents;
+  bool operator==(const KilledRun&) const = default;
+};
+
+KilledRun run_with_kill(bool batched, std::uint64_t kill_step) {
+  constexpr int kWorkers = 3;
+  sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic, 11,
+                             kWorkers);
+  Rig rig({.team_size = 8, .pool_chunks = 1u << 12}, Attach{.leases = true},
+          &sched);
+  const auto wl = make_workload(kMix_20_20_60, 48, 300, 7);
+  rig->bulk_load(generate_prefill(wl));
+  const auto ops = generate_ops(wl);
+  sched.kill_at(0, kill_step);
+
+  KilledRun out;
+  RunConfig rc;
+  rc.num_workers = kWorkers;
+  rc.scheduler = &sched;
+  rc.results = &out.results;
+  if (batched) {
+    BatchRunOptions bo;
+    bo.batch_size = 64;
+    (void)run_gfsl_batched(rig.gfsl(), ops, rc, rig.mem(), bo);
+  } else {
+    (void)run_gfsl(rig.gfsl(), ops, rc, rig.mem());
+  }
+  out.steps = sched.global_steps();
+  out.contents = rig->collect();
+  return out;
+}
+
+TEST(Runner, KilledTeamReplaysDeterministically) {
+  for (const bool batched : {false, true}) {
+    for (const std::uint64_t kill_step : {50u, 200u, 400u, 800u, 1600u}) {
+      const KilledRun first = run_with_kill(batched, kill_step);
+      for (int rep = 1; rep <= 20; ++rep) {
+        const KilledRun again = run_with_kill(batched, kill_step);
+        ASSERT_EQ(again.steps, first.steps)
+            << (batched ? "batched" : "per-op") << " kill@" << kill_step
+            << " rep " << rep;
+        ASSERT_TRUE(again == first)
+            << (batched ? "batched" : "per-op") << " kill@" << kill_step
+            << " rep " << rep;
+      }
+    }
   }
 }
 

@@ -61,7 +61,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 
 #include "common/random.h"
 #include "harness/corrupt_sweep.h"
@@ -75,7 +74,6 @@
 #include "harness/workload.h"
 #include "obs/trace_export.h"
 #include "oracle.h"
-#include "simt/trace.h"
 
 using namespace gfsl;
 using namespace gfsl::harness;
@@ -268,16 +266,11 @@ int run_churn_mode(const Options& opt) {
 
   obs::MetricsRegistry reg(workers);
   reg.set_info("mode", "churn");
-  std::vector<std::unique_ptr<simt::TeamTrace>> rings;
-  std::vector<simt::TeamTrace*> ring_ptrs;
-  for (int w = 0; w < workers && !pm_dir.empty(); ++w) {
-    rings.push_back(
-        std::make_unique<simt::TeamTrace>(1024, /*timestamps=*/false));
-    ring_ptrs.push_back(rings.back().get());
-  }
-
+  obs::TraceSession rings(1024, /*timestamps=*/false);
   const int oom = run_churn_storm(sl, workers, total_ops, range, seed,
-                                  want_obs ? &reg : nullptr, ring_ptrs);
+                                  want_obs ? &reg : nullptr,
+                                  pm_dir.empty() ? nullptr : &rings)
+                      .oom_teams;
   if (want_obs) sample_structure_gauges(reg, sl);
 
   bool ok = true;
@@ -315,7 +308,7 @@ int run_churn_mode(const Options& opt) {
            .detail = detail,
            .gfsl = &sl,
            .metrics = &reg,
-           .rings = {ring_ptrs.begin(), ring_ptrs.end()},
+           .trace = &rings,
            .info = {{"harness", "churn"},
                     {"seed", std::to_string(seed)},
                     {"workers", std::to_string(workers)},
@@ -382,7 +375,6 @@ int run_batch_mode(const Options& opt) {
     const auto want = oracle.apply_batch(ops);
 
     obs::TraceSession session(1024, /*timestamps=*/false);
-    std::unique_ptr<simt::TeamTrace> solo_ring;
     core::BatchResult br;
     if (multi_team) {
       RunConfig rc;
@@ -397,9 +389,8 @@ int run_batch_mode(const Options& opt) {
       simt::Team team(team_size, 0, 3);
       if (want_obs) team.set_metrics(&reg.shard(0));
       if (!pm_dir.empty()) {
-        solo_ring =
-            std::make_unique<simt::TeamTrace>(1024, /*timestamps=*/false);
-        team.set_trace(solo_ring.get());
+        session.ensure(1);
+        team.set_trace(session.team(0));
       }
       br = core::run_batch(sl, team, ops);
     }
@@ -432,13 +423,7 @@ int run_batch_mode(const Options& opt) {
         ctx.detail = err;
         ctx.gfsl = &sl;
         ctx.metrics = want_obs ? &reg : nullptr;
-        if (multi_team) {
-          for (int t = 0; t < session.teams(); ++t) {
-            ctx.rings.push_back(session.team(t));
-          }
-        } else if (solo_ring != nullptr) {
-          ctx.rings.push_back(solo_ring.get());
-        }
+        ctx.trace = &session;
         ctx.info = {{"harness", "batch"},
                     {"seed", std::to_string(master)},
                     {"round", std::to_string(round)},

@@ -16,7 +16,7 @@
 #include "harness/options.h"
 #include "harness/rig.h"
 #include "harness/workload.h"
-#include "simt/trace.h"
+#include "obs/trace_export.h"
 
 using namespace gfsl;
 using namespace gfsl::harness;
@@ -87,12 +87,9 @@ int main(int argc, char** argv) {
     run.team_seed = 1;
     HistoryLog log(ops.size(), workers);
     std::vector<HistoryRecorder> recorders;
-    std::vector<std::unique_ptr<simt::TeamTrace>> traces;
-    for (int w = 0; w < workers; ++w) {
-      recorders.emplace_back(log, w);
-      traces.push_back(std::make_unique<simt::TeamTrace>(1u << 12));
-      if (want_trace) run.traces.push_back(traces.back().get());
-    }
+    for (int w = 0; w < workers; ++w) recorders.emplace_back(log, w);
+    obs::TraceSession traces(1u << 12);
+    if (want_trace) run.trace = &traces;
     for (auto& r : recorders) run.observers.push_back(&r);
     (void)run_history(sl, &sched, ops, run);
     std::uint64_t trues = 0;
@@ -111,8 +108,8 @@ int main(int argc, char** argv) {
     if (want_trace) {
       for (int w = 0; w < workers; ++w) {
         std::printf("--- team %d trace (last %zu events) ---\n", w,
-                    traces[static_cast<std::size_t>(w)]->snapshot().size());
-        traces[static_cast<std::size_t>(w)]->dump(std::cout);
+                    traces.team(w)->snapshot().size());
+        traces.team(w)->dump(std::cout);
       }
     }
     return rep.ok ? 0 : 1;
