@@ -7,8 +7,10 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "baseline/mc_skiplist.h"
+#include "common/random.h"
 #include "harness/rig.h"
 #include "simt/team.h"
 
@@ -155,6 +157,25 @@ void BM_CacheSimAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheSimAccess);
+
+// Teams on separate host threads reading chunks of one device at once.  With
+// per-set L2 locks and per-thread counter shards, what raises the per-call
+// cost from 1 to 4 threads is only the set records and ways the threads
+// share; a global lock or shared counter would show as a much steeper rise.
+void BM_WarpReadContended(benchmark::State& state) {
+  static device::DeviceMemory mem;  // shared by every benchmark thread
+  constexpr std::uint64_t kChunks = 1u << 16;  // 16 MB: most reads miss L2
+  Xoshiro256ss rng(derive_seed(0xC0DE, static_cast<std::uint64_t>(
+                                           state.thread_index())));
+  std::vector<std::uint64_t> addrs(4096);
+  for (auto& a : addrs) a = rng.below(kChunks) * 256;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    mem.warp_read(addrs[i++ % addrs.size()], 256);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WarpReadContended)->Threads(1)->Threads(4);
 
 void BM_BulkLoad(benchmark::State& state) {
   const auto n = static_cast<Key>(state.range(0));

@@ -34,6 +34,12 @@ void atomic_max_u64(std::atomic<std::uint64_t>& a, std::uint64_t v) {
   }
 }
 
+/// [insert_rev, erase_rev) covers no snapshot: a rolled-back insert, or an
+/// insert and erase of one key inside one batch.
+bool annulled_rec(Rev insert_rev, Rev erase_rev) {
+  return erase_rev != SnapshotManager::kRevLive && erase_rev <= insert_rev;
+}
+
 }  // namespace
 
 // --- SnapshotManager: construction ------------------------------------------
@@ -321,7 +327,7 @@ void SnapshotManager::annul_live_record(ChunkRef c, Key k) {
     if (rec.key == k &&
         rec.erase_rev.load(std::memory_order_acquire) == kRevLive) {
       // [r, r) covers nothing: the record is dead at every snapshot and a
-      // future prune drops it as annulled.
+      // prune drops it once the watermark reaches r.
       rec.erase_rev.store(rec.insert_rev, std::memory_order_release);
       return;
     }
@@ -353,13 +359,20 @@ int SnapshotManager::copy_records(ChunkRef from, ChunkRef to, Key lo_excl,
     if (r.key > lo_excl && r.key <= hi_incl) {
       const Rev er = r.erase_rev.load(std::memory_order_acquire);
       // Idempotence probe: a replayed copy (crash repair) finds its earlier
-      // incarnation by (key, insert_rev) and only propagates a missing
-      // erase stamp.
+      // incarnation by (key, insert_rev, annulled) and only propagates a
+      // missing erase stamp.  Annulled-ness is part of the identity: an
+      // insert, erase and re-insert of one key inside one batch leave an
+      // annulled {k, r, r} and a live {k, r, LIVE} record, and matching one
+      // against the other's copy would stamp the live copy dead.
+      const bool annulled = annulled_rec(r.insert_rev, er);
       RecIdx dst = heads_[to].load(std::memory_order_relaxed);
       RecIdx found = kNullRec;
       for (std::uint32_t s2 = 0; dst != kNullRec && s2 < capacity_; ++s2) {
         const VersionRec& d = recs_[dst];
-        if (d.key == r.key && d.insert_rev == r.insert_rev) {
+        if (d.key == r.key && d.insert_rev == r.insert_rev &&
+            annulled_rec(d.insert_rev,
+                         d.erase_rev.load(std::memory_order_acquire)) ==
+                annulled) {
           found = dst;
           break;
         }
@@ -402,9 +415,13 @@ std::size_t SnapshotManager::prune_chain(ChunkRef c, Rev wm, Key chunk_max,
     VersionRec& r = recs_[cur];
     const RecIdx nxt = r.next.load(std::memory_order_acquire);
     const Rev er = r.erase_rev.load(std::memory_order_acquire);
+    // An annulled record (erase_rev <= insert_rev) waits for the watermark
+    // like any departed one: an insert and an erase inside one batch both
+    // stamp the batch's revision, and until that batch publishes, the record
+    // is what hides the key from a scanner whose chunk image still holds it
+    // (DESIGN.md §13).
     const bool departed = er != kRevLive;
-    const bool annulled = departed && er <= r.insert_rev;
-    const bool drop = (departed && er <= wm) || annulled || r.key > chunk_max;
+    const bool drop = (departed && er <= wm) || r.key > chunk_max;
     if (drop) {
       // Unlink; a racing lock-free walker already on `cur` still follows
       // its (unchanged) next, which is why the index must survive an epoch

@@ -27,8 +27,8 @@
 //    moved key range into the fresh chunk before the NEXT publish, merges
 //    copy the donor's records (filtered to key <= donor max, which kills
 //    stale out-of-range copies) into the receiver before the zombify.
-//    Copies are idempotent on (key, insert_rev) so crash repairs can replay
-//    them.
+//    Copies are idempotent on (key, insert_rev, annulled) so crash repairs
+//    can replay them.
 //  * Resolution of key k in chunk c at snapshot s:
 //      1. a record with insert_rev <= s < erase_rev  -> visible (rec value);
 //      2. else a live chunk entry and *no* record for k -> visible (chunk
@@ -198,8 +198,8 @@ class SnapshotManager {
   int copy_records(ChunkRef from, ChunkRef to, Key lo_excl, Key hi_incl);
 
   /// Drop from c's chain (under its lock): departed records with erase_rev
-  /// <= wm, annulled records, and records outside (0, chunk_max] (superseded
-  /// copies).  Freed indices land in `freed` — the caller must route them
+  /// <= wm (annulled ones included) and records outside (0, chunk_max]
+  /// (superseded copies).  Freed indices land in `freed` — the caller must route them
   /// through an epoch grace period before free_records().
   std::size_t prune_chain(ChunkRef c, Rev wm, Key chunk_max,
                           std::vector<RecIdx>* freed);

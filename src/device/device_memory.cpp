@@ -34,43 +34,54 @@ MemStats MemStats::operator-(const MemStats& o) const {
 DeviceMemory::DeviceMemory(const CacheConfig& cfg)
     : cache_(cfg), accounting_(true) {}
 
+DeviceMemory::StatShard& DeviceMemory::shard() {
+  // Slots are handed out round-robin as threads first touch any device, so
+  // up to kStatShards concurrent threads each own a shard.
+  static std::atomic<std::size_t> next_slot{0};
+  thread_local const std::size_t slot =
+      next_slot.fetch_add(1, std::memory_order_relaxed) % kStatShards;
+  return shards_[slot];
+}
+
+namespace {
+
+void add(std::atomic<std::uint64_t>& c, std::uint64_t n) {
+  if (n != 0) c.fetch_add(n, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 void DeviceMemory::record_contiguous(std::uint64_t addr, std::uint32_t bytes,
-                                     std::atomic<std::uint64_t>* class_counter) {
+                                     Counter class_counter) {
   if (!accounting()) return;
   const std::uint32_t line = cache_.config().line_bytes;
   const std::uint64_t first = addr / line;
   const std::uint64_t last = (addr + bytes - 1) / line;
 
-  class_counter->fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t hits = 0;
   for (std::uint64_t l = first; l <= last; ++l) {
-    transactions_.fetch_add(1, std::memory_order_relaxed);
-    bytes_moved_.fetch_add(line, std::memory_order_relaxed);
-    if (cache_.access(l * line)) {
-      l2_hits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      dram_transactions_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (cache_.access(l * line)) ++hits;
   }
+  StatShard& s = shard();
+  add(s.*class_counter, 1);
+  add(s.l2_hits, hits);
+  add(s.dram_transactions, last - first + 1 - hits);
 }
 
 void DeviceMemory::atomic_rmw(std::uint64_t addr) {
   if (!accounting()) return;
-  atomics_.fetch_add(1, std::memory_order_relaxed);
   // An atomic still moves its line through L2 (atomics resolve in L2 on
   // Maxwell); classify it like a one-line transaction.
   const std::uint32_t line = cache_.config().line_bytes;
-  transactions_.fetch_add(1, std::memory_order_relaxed);
-  bytes_moved_.fetch_add(line, std::memory_order_relaxed);
-  if (cache_.access((addr / line) * line)) {
-    l2_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    dram_transactions_.fetch_add(1, std::memory_order_relaxed);
-  }
+  const bool hit = cache_.access((addr / line) * line);
+  StatShard& s = shard();
+  add(s.atomics, 1);
+  add(hit ? s.l2_hits : s.dram_transactions, 1);
 }
 
 void DeviceMemory::prefetch(std::uint64_t addr, std::uint32_t bytes) {
   if (!accounting()) return;
-  prefetches_.fetch_add(1, std::memory_order_relaxed);
+  add(shard().prefetches, 1);
   const std::uint32_t line = cache_.config().line_bytes;
   const std::uint64_t first = addr / line;
   const std::uint64_t last = (addr + bytes - 1) / line;
@@ -84,30 +95,30 @@ void DeviceMemory::prefetch(std::uint64_t addr, std::uint32_t bytes) {
 
 MemStats DeviceMemory::snapshot() const {
   MemStats s;
-  s.warp_reads = warp_reads_.load(std::memory_order_relaxed);
-  s.warp_writes = warp_writes_.load(std::memory_order_relaxed);
-  s.lane_reads = lane_reads_.load(std::memory_order_relaxed);
-  s.lane_writes = lane_writes_.load(std::memory_order_relaxed);
-  s.transactions = transactions_.load(std::memory_order_relaxed);
-  s.l2_hits = l2_hits_.load(std::memory_order_relaxed);
-  s.dram_transactions = dram_transactions_.load(std::memory_order_relaxed);
-  s.atomics = atomics_.load(std::memory_order_relaxed);
-  s.bytes_moved = bytes_moved_.load(std::memory_order_relaxed);
-  s.prefetches = prefetches_.load(std::memory_order_relaxed);
+  for (const StatShard& sh : shards_) {
+    s.warp_reads += sh.warp_reads.load(std::memory_order_relaxed);
+    s.warp_writes += sh.warp_writes.load(std::memory_order_relaxed);
+    s.lane_reads += sh.lane_reads.load(std::memory_order_relaxed);
+    s.lane_writes += sh.lane_writes.load(std::memory_order_relaxed);
+    s.l2_hits += sh.l2_hits.load(std::memory_order_relaxed);
+    s.dram_transactions += sh.dram_transactions.load(std::memory_order_relaxed);
+    s.atomics += sh.atomics.load(std::memory_order_relaxed);
+    s.prefetches += sh.prefetches.load(std::memory_order_relaxed);
+  }
+  s.transactions = s.l2_hits + s.dram_transactions;
+  s.bytes_moved = s.transactions * cache_.config().line_bytes;
   return s;
 }
 
 void DeviceMemory::reset_stats() {
-  warp_reads_.store(0, std::memory_order_relaxed);
-  warp_writes_.store(0, std::memory_order_relaxed);
-  lane_reads_.store(0, std::memory_order_relaxed);
-  lane_writes_.store(0, std::memory_order_relaxed);
-  transactions_.store(0, std::memory_order_relaxed);
-  l2_hits_.store(0, std::memory_order_relaxed);
-  dram_transactions_.store(0, std::memory_order_relaxed);
-  atomics_.store(0, std::memory_order_relaxed);
-  bytes_moved_.store(0, std::memory_order_relaxed);
-  prefetches_.store(0, std::memory_order_relaxed);
+  for (StatShard& sh : shards_) {
+    for (Counter c : {&StatShard::warp_reads, &StatShard::warp_writes,
+                      &StatShard::lane_reads, &StatShard::lane_writes,
+                      &StatShard::l2_hits, &StatShard::dram_transactions,
+                      &StatShard::atomics, &StatShard::prefetches}) {
+      (sh.*c).store(0, std::memory_order_relaxed);
+    }
+  }
 }
 
 }  // namespace gfsl::device

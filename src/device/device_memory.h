@@ -17,11 +17,17 @@
 // Each transaction is filtered through the simulated L2 to classify it as an
 // L2 hit or a DRAM transaction.  Accounting can be disabled for pure
 // wall-clock runs.
+//
+// The counters live in a few cache-line shards; each host thread adds to the
+// shard its thread-local slot picks, so teams on separate threads do not
+// bounce one line between cores.  snapshot() sums the shards, which the
+// harness does at kernel boundaries.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "device/cache_sim.h"
 #include "device/fault_plane.h"
@@ -52,18 +58,18 @@ class DeviceMemory {
   explicit DeviceMemory(const CacheConfig& cfg = CacheConfig{});
 
   void warp_read(std::uint64_t addr, std::uint32_t bytes) {
-    record_contiguous(addr, bytes, &warp_reads_);
+    record_contiguous(addr, bytes, &StatShard::warp_reads);
   }
   void warp_write(std::uint64_t addr, std::uint32_t bytes) {
     if (fault_plane_ != nullptr) fault_plane_->on_traffic();
-    record_contiguous(addr, bytes, &warp_writes_);
+    record_contiguous(addr, bytes, &StatShard::warp_writes);
   }
   void lane_read(std::uint64_t addr, std::uint32_t bytes) {
-    record_contiguous(addr, bytes, &lane_reads_);
+    record_contiguous(addr, bytes, &StatShard::lane_reads);
   }
   void lane_write(std::uint64_t addr, std::uint32_t bytes) {
     if (fault_plane_ != nullptr) fault_plane_->on_traffic();
-    record_contiguous(addr, bytes, &lane_writes_);
+    record_contiguous(addr, bytes, &StatShard::lane_writes);
   }
   void atomic_rmw(std::uint64_t addr);
 
@@ -91,23 +97,33 @@ class DeviceMemory {
   FaultPlane* fault_plane() const { return fault_plane_; }
 
  private:
+  /// One cache line of counters.  Relaxed atomics: a shard is shared when
+  /// more host threads than shards touch the device, and the counters are
+  /// aggregated, never used for synchronization.  transactions and
+  /// bytes_moved are derived in snapshot(): every transaction is either an
+  /// L2 hit or a DRAM transaction and moves one line.
+  struct alignas(64) StatShard {
+    std::atomic<std::uint64_t> warp_reads{0};
+    std::atomic<std::uint64_t> warp_writes{0};
+    std::atomic<std::uint64_t> lane_reads{0};
+    std::atomic<std::uint64_t> lane_writes{0};
+    std::atomic<std::uint64_t> l2_hits{0};
+    std::atomic<std::uint64_t> dram_transactions{0};
+    std::atomic<std::uint64_t> atomics{0};
+    std::atomic<std::uint64_t> prefetches{0};
+  };
+  static constexpr std::size_t kStatShards = 16;
+  using Counter = std::atomic<std::uint64_t> StatShard::*;
+
+  /// The calling thread's shard (a thread-local slot, any host thread).
+  StatShard& shard();
   void record_contiguous(std::uint64_t addr, std::uint32_t bytes,
-                         std::atomic<std::uint64_t>* class_counter);
+                         Counter class_counter);
 
   CacheSim cache_;
   FaultPlane* fault_plane_ = nullptr;
   std::atomic<bool> accounting_;
-  // Relaxed atomics: counters are aggregated, never used for synchronization.
-  std::atomic<std::uint64_t> warp_reads_{0};
-  std::atomic<std::uint64_t> warp_writes_{0};
-  std::atomic<std::uint64_t> lane_reads_{0};
-  std::atomic<std::uint64_t> lane_writes_{0};
-  std::atomic<std::uint64_t> transactions_{0};
-  std::atomic<std::uint64_t> l2_hits_{0};
-  std::atomic<std::uint64_t> dram_transactions_{0};
-  std::atomic<std::uint64_t> atomics_{0};
-  std::atomic<std::uint64_t> bytes_moved_{0};
-  std::atomic<std::uint64_t> prefetches_{0};
+  std::array<StatShard, kStatShards> shards_;
 };
 
 }  // namespace gfsl::device

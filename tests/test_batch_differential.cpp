@@ -381,6 +381,7 @@ TEST(BatchDifferential, SnapshotSeesNoneOrAllOfEachBatch) {
     boundary.push_back(oracle.collect());
   }
 
+  std::atomic<bool> started{false};
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> scans{0};
   std::atomic<std::uint64_t> mismatches{0};
@@ -388,6 +389,7 @@ TEST(BatchDifferential, SnapshotSeesNoneOrAllOfEachBatch) {
   std::thread scanner([&] {
     Team stm(sl.team_size(), 1, 47);
     while (!done.load(std::memory_order_acquire)) {
+      started.store(true, std::memory_order_release);
       Snapshot s = sl.snapshot();
       std::vector<std::pair<Key, Value>> got;
       if (sl.scan_at(stm, s, MIN_USER_KEY, MAX_USER_KEY, got) ==
@@ -451,6 +453,9 @@ TEST(BatchDifferential, SnapshotSeesNoneOrAllOfEachBatch) {
     }
   });
 
+  // The batches start only once the first scan has, so at least one scan
+  // races them even when the scanner thread is slow to be scheduled.
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   Team team(sl.team_size(), 0, 43);
   for (const auto& ops : batches) {
     const BatchResult br = run_batch(sl, team, ops);

@@ -1,11 +1,18 @@
-// Unit tests: memory pool, cache simulator, coalescing/transaction counting.
+// Unit tests: memory pool, cache simulator, coalescing/transaction counting,
+// and the per-set / per-thread-shard concurrency of the device layer.
 #include <gtest/gtest.h>
 
 #include <new>
+#include <thread>
+#include <vector>
 
+#include "common/random.h"
 #include "device/cache_sim.h"
 #include "device/device_memory.h"
 #include "device/memory_pool.h"
+#include "harness/rig.h"
+#include "harness/runner.h"
+#include "harness/workload.h"
 
 namespace gfsl::device {
 namespace {
@@ -183,6 +190,165 @@ TEST(DeviceMemory, GTX970L2Geometry) {
   DeviceMemory mem;
   EXPECT_EQ(mem.cache().config().capacity_bytes, 1792ull * 1024);
   EXPECT_EQ(mem.cache().config().line_bytes, 128u);
+  EXPECT_EQ(mem.cache().num_sets(), 896u);
+}
+
+// A textbook set-associative LRU with one global clock.  LRU order only
+// compares stamps within a set, so CacheSim's per-set clocks must pick the
+// same victims.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(const CacheConfig& cfg)
+      : cfg_(cfg),
+        sets_(static_cast<std::uint32_t>(cfg.capacity_bytes / cfg.line_bytes /
+                                         cfg.associativity)),
+        ways_(static_cast<std::size_t>(sets_) * cfg.associativity) {}
+
+  bool access(std::uint64_t byte_addr) {
+    const std::uint64_t line = byte_addr / cfg_.line_bytes;
+    const std::uint64_t tag = line / sets_;
+    Way* base = &ways_[(line % sets_) * cfg_.associativity];
+    ++tick_;
+    Way* victim = nullptr;
+    for (std::uint32_t w = 0; w < cfg_.associativity; ++w) {
+      Way& way = base[w];
+      if (way.valid && way.tag == tag) {
+        way.lru = tick_;
+        return true;
+      }
+    }
+    // The last empty way, else the least recently used one.
+    for (std::uint32_t w = 0; w < cfg_.associativity; ++w) {
+      if (!base[w].valid) victim = &base[w];
+    }
+    if (victim == nullptr) {
+      victim = base;
+      for (std::uint32_t w = 1; w < cfg_.associativity; ++w) {
+        if (base[w].lru < victim->lru) victim = &base[w];
+      }
+    }
+    *victim = Way{tag, tick_, true};
+    return false;
+  }
+
+ private:
+  struct Way {
+    std::uint64_t tag = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+  };
+  CacheConfig cfg_;
+  std::uint32_t sets_;
+  std::vector<Way> ways_;
+  std::uint64_t tick_ = 0;
+};
+
+TEST(CacheSim, MatchesGlobalClockReferenceLru) {
+  // 200K seeded addresses over ~2x the L2's lines, with a hot region, so
+  // every set sees hits, cold misses and evictions.  One invalidation in the
+  // middle checks that refilling after a flush picks the same ways.
+  const CacheConfig cfg;
+  CacheSim cache(cfg);
+  ReferenceLru ref(cfg);
+  Xoshiro256ss rng(0xCAC4E);
+  const std::uint64_t lines = 2 * cfg.capacity_bytes / cfg.line_bytes;
+  std::vector<char> got, want;
+  constexpr int kAccesses = 200'000;
+  for (int i = 0; i < kAccesses; ++i) {
+    if (i == kAccesses / 2) {
+      cache.invalidate_all();
+      ref = ReferenceLru(cfg);
+    }
+    const std::uint64_t line =
+        rng.below(4) == 0 ? rng.below(lines / 16) : rng.below(lines);
+    const std::uint64_t addr = line * cfg.line_bytes + rng.below(cfg.line_bytes);
+    got.push_back(cache.access(addr) ? 1 : 0);
+    want.push_back(ref.access(addr) ? 1 : 0);
+  }
+  ASSERT_EQ(got, want);
+  std::uint64_t hits = 0;
+  for (const char h : want) hits += static_cast<std::uint64_t>(h);
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), static_cast<std::uint64_t>(kAccesses) - hits);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(cache.misses(), cfg.capacity_bytes / cfg.line_bytes);
+}
+
+TEST(DeviceMemory, ConcurrentTrafficCountsExactly) {
+  // Four host threads issue known traffic on one device at once.  Each
+  // thread's counts land in whatever shard its slot picks; after join the
+  // snapshot must add up exactly, whatever the interleaving.
+  DeviceMemory mem;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kRounds = 20'000;
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&mem, t] {
+      const std::uint64_t base = static_cast<std::uint64_t>(t) << 24;
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
+        const std::uint64_t a = base + (i % 4096) * 256;
+        mem.warp_read(a, 256);        // 2 transactions
+        mem.lane_write(a + 8, 8);     // 1 transaction
+        mem.atomic_rmw(a);            // 1 transaction
+        mem.prefetch(a + 4096, 256);  // no transaction
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+
+  const MemStats s = mem.snapshot();
+  const std::uint64_t n = kThreads * kRounds;
+  EXPECT_EQ(s.warp_reads, n);
+  EXPECT_EQ(s.lane_writes, n);
+  EXPECT_EQ(s.atomics, n);
+  EXPECT_EQ(s.prefetches, n);
+  EXPECT_EQ(s.warp_writes, 0u);
+  EXPECT_EQ(s.lane_reads, 0u);
+  EXPECT_EQ(s.transactions, 4 * n);
+  EXPECT_EQ(s.l2_hits + s.dram_transactions, s.transactions);
+  EXPECT_EQ(s.bytes_moved, s.transactions * 128);
+  EXPECT_EQ(mem.cache().hits() + mem.cache().misses(),
+            s.transactions + 2 * n);  // prefetches touch the L2 too
+  EXPECT_GT(s.l2_hits, 0u);
+
+  mem.reset_stats();
+  const MemStats z = mem.snapshot();
+  EXPECT_EQ(z.transactions, 0u);
+  EXPECT_EQ(z.warp_reads + z.lane_writes + z.atomics + z.prefetches, 0u);
+}
+
+MemStats deterministic_four_team_run() {
+  constexpr int kTeams = 4;
+  sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic, 5,
+                             kTeams);
+  harness::Rig rig({.team_size = 8, .pool_chunks = 1u << 12}, {}, &sched);
+  const auto wl = harness::make_workload(harness::kMix_20_20_60, 4096, 2000, 3);
+  rig->bulk_load(harness::generate_prefill(wl));
+  harness::RunConfig rc;
+  rc.num_workers = kTeams;
+  rc.scheduler = &sched;
+  return harness::run_gfsl(rig.gfsl(), harness::generate_ops(wl), rc,
+                           rig.mem())
+      .kernel.mem;
+}
+
+TEST(DeviceMemory, DeterministicFourTeamRunReplaysExactly) {
+  // Under the Deterministic scheduler four teams on four host threads still
+  // interleave one step at a time, so the sharded counters and per-set L2
+  // must sum to the same figures on every replay.
+  const MemStats a = deterministic_four_team_run();
+  const MemStats b = deterministic_four_team_run();
+  EXPECT_GT(a.transactions, 0u);
+  EXPECT_EQ(a.warp_reads, b.warp_reads);
+  EXPECT_EQ(a.warp_writes, b.warp_writes);
+  EXPECT_EQ(a.lane_reads, b.lane_reads);
+  EXPECT_EQ(a.lane_writes, b.lane_writes);
+  EXPECT_EQ(a.transactions, b.transactions);
+  EXPECT_EQ(a.l2_hits, b.l2_hits);
+  EXPECT_EQ(a.dram_transactions, b.dram_transactions);
+  EXPECT_EQ(a.atomics, b.atomics);
+  EXPECT_EQ(a.bytes_moved, b.bytes_moved);
+  EXPECT_EQ(a.prefetches, b.prefetches);
 }
 
 }  // namespace

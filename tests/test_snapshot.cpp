@@ -218,6 +218,62 @@ TEST(SnapshotExpiry, DegradeExpiresHoldersButNotTheStructure) {
 // ---------------------------------------------------------------------------
 // Watermark GC: bounded memory under churn with a rotating snapshot holder.
 
+TEST(SnapshotGC, InBatchAnnulledRecordWaitsForWatermark) {
+  // An insert and an erase of one key inside one batch both stamp the
+  // batch revision r, so the record is annulled ([r, r) covers nothing)
+  // while batch r is unpublished.  A scanner at s < r may still hold a
+  // chunk image with the key; only the record hides it, so pruning below
+  // the watermark must keep it.
+  SnapshotManager snaps(/*pool_chunks=*/4, /*record_capacity=*/16);
+  const ChunkRef c = 1;
+  const int slot = snaps.acquire_batch_slot();
+  ASSERT_GE(slot, 0);
+  const Rev r = snaps.begin_commit(slot);
+  ASSERT_TRUE(snaps.record_insert(c, 42, 7, r));
+  ASSERT_TRUE(snaps.mark_erased(c, 42, 7, r));
+  const Rev wm = snaps.watermark();
+  ASSERT_LT(wm, r);
+
+  std::vector<RecIdx> freed;
+  EXPECT_EQ(snaps.prune_chain(c, wm, MAX_USER_KEY, &freed), 0u);
+  EXPECT_EQ(snaps.chain_length(c), 1u);
+  EXPECT_TRUE(freed.empty());
+
+  // Once the batch publishes, the watermark passes r and the record goes.
+  snaps.end_commit(slot);
+  snaps.release_batch_slot(slot);
+  ASSERT_GE(snaps.watermark(), r);
+  EXPECT_EQ(snaps.prune_chain(c, snaps.watermark(), MAX_USER_KEY, &freed), 1u);
+  EXPECT_EQ(snaps.chain_length(c), 0u);
+  EXPECT_EQ(freed.size(), 1u);
+}
+
+TEST(SnapshotGC, InBatchReinsertKeepsItsLiveCopy) {
+  // An insert, erase and re-insert of one key inside batch r leave an
+  // annulled {k, r, r} and a live {k, r, LIVE} record in one chain.  A
+  // split's copy must keep them apart: stamping the live copy dead would
+  // hide the key at every snapshot once the original chain is pruned.
+  SnapshotManager snaps(/*pool_chunks=*/4, /*record_capacity=*/16);
+  const ChunkRef from = 1;
+  const ChunkRef to = 2;
+  const int slot = snaps.acquire_batch_slot();
+  ASSERT_GE(slot, 0);
+  const Rev r = snaps.begin_commit(slot);
+  ASSERT_TRUE(snaps.record_insert(from, 42, 7, r));
+  ASSERT_TRUE(snaps.mark_erased(from, 42, 7, r));
+  ASSERT_TRUE(snaps.record_insert(from, 42, 8, r));
+
+  EXPECT_EQ(snaps.copy_records(from, to, 0, MAX_USER_KEY), 2);
+  Value v = 0;
+  EXPECT_TRUE(snaps.has_live_record(to, 42, &v));
+  EXPECT_EQ(v, Value{8});
+  // A crash-repair replay of the same copy adds nothing.
+  EXPECT_EQ(snaps.copy_records(from, to, 0, MAX_USER_KEY), 0);
+  EXPECT_EQ(snaps.chain_length(to), 2u);
+  snaps.end_commit(slot);
+  snaps.release_batch_slot(slot);
+}
+
 TEST(SnapshotGC, RotatingHolderKeepsRecordArenaBounded) {
   device::DeviceMemory mem;
   device::EpochManager epochs;
