@@ -2,6 +2,7 @@
 #include "core/gfsl.h"
 
 #include <stdexcept>
+#include <thread>
 
 namespace gfsl::core {
 
@@ -9,6 +10,9 @@ using simt::LaneVec;
 using simt::Team;
 
 namespace {
+// read_chunk's retry bound (write_seq_): about 16K yields, far past any
+// writer preemption, so only a broken writer protocol ever reaches it.
+constexpr int kTornReadSpinCap = 1 << 20;
 // The region reserves fixed strides for the sections core places into it;
 // a drift in either constant would silently corrupt a restart image.
 static_assert(sizeof(IntentSlot) <= device::PersistRegion::kIntentSlotBytes);
@@ -143,8 +147,22 @@ LaneVec<KV> Gfsl::read_chunk(Team& team, ChunkRef ref) {
   sync_point(team);
   LaneVec<KV> kv;
   const std::atomic<KV>* e = arena_.entries(ref);
-  for (int i = 0; i < team.size(); ++i) {
-    kv[i] = e[i].load(std::memory_order_acquire);
+  // Seqlock read (write_seq_).  The spin cap only matters if a writer ever
+  // stopped between its two sequence stores: past it the read proceeds on
+  // whatever it loaded instead of wedging the team.
+  const std::atomic<std::uint32_t>& seq = write_seq_[ref];
+  for (int spins = 1;; ++spins) {
+    const std::uint32_t before = seq.load(std::memory_order_acquire);
+    for (int i = 0; i < team.size(); ++i) {
+      kv[i] = e[i].load(std::memory_order_acquire);
+    }
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (((before & 1u) == 0 &&
+         seq.load(std::memory_order_relaxed) == before) ||
+        spins == kTornReadSpinCap) {
+      break;
+    }
+    if (spins % 64 == 0) std::this_thread::yield();  // a preempted writer
   }
   mem_->warp_read(arena_.device_address(ref), arena_.chunk_bytes());
   team.step();
@@ -275,7 +293,12 @@ void Gfsl::mark_zombie(Team& team, ChunkRef ref) {
 void Gfsl::write_entry(Team& team, ChunkRef ref, int slot, KV v) {
   sync_point(team);
   mem_->lane_write(arena_.entry_address(ref, slot), 8);
+  std::atomic<std::uint32_t>& seq = write_seq_[ref];
+  const std::uint32_t s = seq.load(std::memory_order_relaxed);
+  seq.store(s + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   arena_.entry(ref, slot).store(v, std::memory_order_release);
+  seq.store(s + 2, std::memory_order_release);
   // Every mutating span publish (shifts, NEXT rewrites, down swings, frozen
   // copies) flows through this store — the persist point right after it is
   // the single hook that makes each one individually crash-atomic.

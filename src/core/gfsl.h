@@ -501,8 +501,13 @@ class Gfsl {
   /// untouched).
   bool insert_committed(simt::Team& team, Key k, Value v,
                         SlowSearchResult& sr);
+  /// Insert into `level` at or right of `enc` (locked on return).  A split
+  /// may raise a key other than `k` (at level 0, the fresh chunk's first
+  /// key); `*raise_guard` then names that key's chunk, which stays locked
+  /// until the caller's raise is done.
   InsertStatus insert_to_level(simt::Team& team, int level, ChunkRef& enc,
-                               Key& k, Value v, bool& raise);
+                               Key& k, Value v, bool& raise,
+                               ChunkRef* raise_guard);
   void execute_insert(simt::Team& team, ChunkRef ref,
                       const simt::LaneVec<KV>& kv, Key k, Value v);
 
@@ -518,6 +523,10 @@ class Gfsl {
     ChunkRef fresh;    // the newly allocated chunk; NULL_CHUNK = OOM, in
                        // which case `locked` is the untouched input chunk
     Key raised_key;    // key to raise if the coin flip says so
+    bool raise = false;  // the coin flip
+    // Still locked when a raise will carry a key that is not in `locked`
+    // (level 0, k in the old half); NULL_CHUNK otherwise.
+    ChunkRef raise_guard = NULL_CHUNK;
     MovedKeys moved;
   };
   SplitOutcome split_insert(simt::Team& team, ChunkRef split_ref, Key k,
@@ -779,8 +788,12 @@ class Gfsl {
   /// Restore a damaged bottom chunk (lock held) from its version-record
   /// chain; succeeds iff the restored slots re-hash to the stored seal.
   bool repair_bottom_chunk(simt::Team& team, ChunkRef ref);
+  /// The first non-zombie chunk of `level`'s chain: the one holding the -inf
+  /// sentinel.  head_[level] itself may name a zombie that a merge left
+  /// behind and no traversal has swung past yet.
+  ChunkRef live_head(int level);
   /// Quarantine `ref` (lock held): compute the blast radius, zombify (or,
-  /// for a level head, evacuate in place), unseal, report.
+  /// for a level's live head, evacuate in place), unseal, report.
   void quarantine_chunk(simt::Team& team, ChunkRef ref, int level,
                         ScrubReport* rep);
 
@@ -805,6 +818,18 @@ class Gfsl {
   std::unique_ptr<IntentSlot[]> intents_own_;  // backing when not region-mapped
   IntentSlot* intents_;  // one per team id; null w/o leases
   ChunkArena arena_;
+  /// Per-chunk write sequence (a seqlock).  A device team loads a chunk in
+  /// one coalesced access, so it sees the chunk as of one instant; host
+  /// lanes load entries one by one, and a writer's entry store can land
+  /// between two of them.  A torn image breaks the shift protocols' "every
+  /// key present at every instant" argument: a reader that loads slot i-1
+  /// before and slot i after a removal shifts both misses the key moving
+  /// between them.  write_entry (always under the chunk's lock, so one
+  /// writer per chunk) makes the sequence odd around its store; read_chunk
+  /// retries until it saw one even value before and after its loads.
+  /// Host-side only: no device traffic, step or yield is modeled.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> write_seq_ =
+      std::make_unique<std::atomic<std::uint32_t>[]>(arena_.capacity());
   std::atomic<std::uint64_t> chunks_reclaimed_{0};
   std::uint64_t head_device_base_;  // synthetic address of the head array
   std::array<std::atomic<ChunkRef>, kMaxLevels> head_own_;

@@ -38,9 +38,10 @@ bool Gfsl::insert_committed(Team& team, Key k, Value v,
   // installed for this team, or when no SnapshotManager is attached).
   CommitScope commit(*this, team);
   bool raise = false;
+  ChunkRef raise_guard = NULL_CHUNK;
   ChunkRef bottom = team.shfl(sr.path, 0);
   const InsertStatus st = insert_to_level(team, /*level=*/0, bottom, k, v,
-                                          raise);
+                                          raise, &raise_guard);
   if (st != InsertStatus::kInserted) {
     // kDuplicate: another team inserted k between our search and the lock.
     // kNoMemory: the pool is exhausted even after emergency reclaims; the
@@ -65,7 +66,7 @@ bool Gfsl::insert_committed(Team& team, Key k, Value v,
   int level = 1;
   while (raise && level < max_levels()) {
     ChunkRef enc = team.shfl(sr.path, level);
-    if (insert_to_level(team, level, enc, k, up_value, raise) ==
+    if (insert_to_level(team, level, enc, k, up_value, raise, nullptr) ==
         InsertStatus::kNoMemory) {
       // Raising is an optimization: the key is already durably in the
       // bottom level, so an exhausted pool just stops the raise.
@@ -77,12 +78,14 @@ bool Gfsl::insert_committed(Team& team, Key k, Value v,
     ++level;
   }
 
+  if (raise_guard != NULL_CHUNK) unlock(team, raise_guard);
   unlock(team, bottom);
   return true;
 }
 
 Gfsl::InsertStatus Gfsl::insert_to_level(Team& team, int level, ChunkRef& enc,
-                                         Key& k, Value v, bool& raise) {
+                                         Key& k, Value v, bool& raise,
+                                         ChunkRef* raise_guard) {
   enc = find_and_lock_enclosing(team, enc, k);
   const LaneVec<KV> kv = read_chunk(team, enc);
   raise = false;
@@ -107,7 +110,8 @@ Gfsl::InsertStatus Gfsl::insert_to_level(Team& team, int level, ChunkRef& enc,
     enc = out.locked;
     k = out.raised_key;
     bump_level(level, +1);
-    raise = team.bernoulli(cfg_.p_chunk);  // on-device coin flip (§4.2.2)
+    raise = out.raise;
+    if (out.raise_guard != NULL_CHUNK) *raise_guard = out.raise_guard;
   }
   return InsertStatus::kInserted;
 }

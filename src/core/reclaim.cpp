@@ -10,9 +10,9 @@
 //                    could have seen the chunk linked)
 //                ->  reclaim_pass: reference-scan the upper levels for stale
 //                    down pointers into the candidates; repair + requeue the
-//                    referenced ones — and, transitively, every candidate
-//                    their frozen next pointers reach — recycle the rest
-//                    onto the free-list
+//                    referenced ones — and every candidate reachable through
+//                    frozen next pointers from any zombie an upper entry
+//                    names — recycle the rest onto the free-list
 //                ->  alloc_locked pops the recycled index, generation stamp
 //                    flips to a new lifetime
 //
@@ -153,10 +153,11 @@ std::size_t Gfsl::reclaim_pass(Team& team) {
   std::unordered_set<ChunkRef> cset(cand.begin(), cand.end());
 
   // Reference scan: walk every live upper-level chunk left to right and
-  // collect data entries whose value half names a candidate.  Level-0
-  // values are user payloads and head chunks are reached via head_, so only
-  // levels >= 1 can hold a structural reference.  Zombie chunks are skipped:
-  // their entries are never down-stepped by any traversal.
+  // collect data entries whose value half names a candidate, or any other
+  // zombie (whose frozen chain may lead into a candidate, see below).
+  // Level-0 values are user payloads and head chunks are reached via head_,
+  // so only levels >= 1 can hold a structural reference.  Zombie chunks are
+  // skipped: their entries are never down-stepped by any traversal.
   struct StaleRef {
     ChunkRef holder;
     int lane;
@@ -166,6 +167,7 @@ std::size_t Gfsl::reclaim_pass(Team& team) {
   };
   std::vector<StaleRef> refs;
   std::unordered_set<ChunkRef> referenced;
+  std::vector<ChunkRef> chain_starts;  // named zombies, candidates or not
   for (int l = 1; l < max_levels(); ++l) {
     ChunkRef cur =
         head_[static_cast<std::size_t>(l)].load(std::memory_order_acquire);
@@ -173,37 +175,54 @@ std::size_t Gfsl::reclaim_pass(Team& team) {
     while (cur != NULL_CHUNK && seen.insert(cur).second) {
       const LaneVec<KV> kv = read_chunk(team, cur);
       if (!is_zombie(team, kv)) {
+        // One gather: every data lane loads the lock word of the chunk its
+        // entry names.
         for (int i = 0; i < team.dsize(); ++i) {
           if (kv_is_empty(kv[i])) continue;
           const auto target = static_cast<ChunkRef>(kv_value(kv[i]));
           if (cset.count(target) != 0) {
             referenced.insert(target);
             refs.push_back({cur, i, kv_key(kv[i]), target, l});
+            chain_starts.push_back(target);
+            continue;
+          }
+          if (target >= arena_.capacity()) continue;  // damaged entry
+          mem_->lane_read(arena_.entry_address(target, arena_.lock_slot()),
+                          8);
+          if (lock_entry_state(arena_.entries(target)[arena_.lock_slot()].load(
+                  std::memory_order_acquire)) == kZombie) {
+            chain_starts.push_back(target);
           }
         }
+        team.step();
       }
       cur = next_of(team, kv);
     }
   }
 
-  // Transitive closure over frozen next pointers: a referenced candidate is
-  // still *named* (by a stale down pointer), and its next pointer — frozen
-  // at zombification — may lead into sibling candidates.  A traversal that
-  // enters through the stale pointer walks that chain with plain reads, so
-  // everything reachable from a referenced candidate through candidates must
-  // survive this pass too; requeuing only the entry point while recycling
-  // its chain would hand the traversal a recycled index one hop later.
+  // Closure over frozen next pointers: a named zombie's next pointer —
+  // frozen at zombification — may lead through further zombies into this
+  // pass's candidates.  A traversal that enters through the stale pointer
+  // walks that chain with plain reads, so every candidate on it must
+  // survive this pass too, whether the named zombie is this pass's
+  // candidate or still waits in some team's limbo (it was unlinked no later
+  // than its successors, but another team drains it on its own schedule).
+  // Recycling a chain member early hands the traversal a recycled index:
+  // a free one fails every generation check (all searches through the key
+  // restart forever), a reused one silently lands them in the wrong chunk.
   {
-    std::vector<ChunkRef> work(referenced.begin(), referenced.end());
+    std::unordered_set<ChunkRef> walked;
+    std::vector<ChunkRef> work(chain_starts.begin(), chain_starts.end());
     while (!work.empty()) {
       const ChunkRef z = work.back();
       work.pop_back();
+      if (!walked.insert(z).second) continue;
       const LaneVec<KV> zkv = read_chunk(team, z);
+      if (!is_zombie(team, zkv)) continue;  // a live chunk ends the chain
       const ChunkRef nxt = next_of(team, zkv);
-      if (nxt != NULL_CHUNK && cset.count(nxt) != 0 &&
-          referenced.insert(nxt).second) {
-        work.push_back(nxt);
-      }
+      if (nxt >= arena_.capacity()) continue;  // NULL_CHUNK or damage
+      if (cset.count(nxt) != 0) referenced.insert(nxt);
+      work.push_back(nxt);
     }
   }
 

@@ -21,12 +21,14 @@
 //     chunk that fails its seal again after a successful repair (a stuck-at
 //     cell re-asserting) escalates straight to quarantine.
 //
-// A level head can never be zombified (head_ pointers are not swung by the
-// online protocol), and neither can a level TAIL: every zombie-skip in the
-// traversal assumes a zombie has a live successor to follow, but the last
-// chunk's next ref is NULL_CHUNK.  Both are evacuated in place instead —
-// data slots reset (heads keep the -inf sentinel), blast radius =
-// everything they held.
+// A level's live head (its first non-zombie chunk, which holds the -inf
+// sentinel) is never zombified, and neither is a level TAIL: every
+// zombie-skip in the traversal assumes a zombie has a live successor to
+// follow, but the last chunk's next ref is NULL_CHUNK.  Both are evacuated in
+// place instead — data slots reset (heads keep the -inf sentinel), blast
+// radius = everything they held.  The live head is not always head_[level]:
+// a merge of the first chunk zombifies it and moves -inf into its successor,
+// and head_[level] names the zombie until a traversal swings it.
 #include "core/gfsl.h"
 
 #include <algorithm>
@@ -139,12 +141,24 @@ bool Gfsl::scrub_chunk(Team& team, ChunkRef ref, ScrubReport* rep) {
   return true;
 }
 
+ChunkRef Gfsl::live_head(int level) {
+  ChunkRef cur =
+      head_[static_cast<std::size_t>(level)].load(std::memory_order_acquire);
+  for (std::uint32_t steps = 0; cur != NULL_CHUNK && steps < arena_.capacity();
+       ++steps) {
+    const KV lk =
+        arena_.entry(cur, arena_.lock_slot()).load(std::memory_order_acquire);
+    if (lock_entry_state(lk) != kZombie) return cur;
+    cur = next_entry_ref(
+        arena_.entry(cur, arena_.next_slot()).load(std::memory_order_acquire));
+  }
+  return cur;
+}
+
 bool Gfsl::repair_upper_chunk(Team& team, ChunkRef ref, int level) {
   const Key hi = next_entry_max(
       arena_.entry(ref, arena_.next_slot()).load(std::memory_order_acquire));
-  const bool is_head =
-      ref ==
-      head_[static_cast<std::size_t>(level)].load(std::memory_order_acquire);
+  const bool is_head = ref == live_head(level);
   const ChunkRef below_head =
       head_[static_cast<std::size_t>(level - 1)].load(std::memory_order_acquire);
 
@@ -208,8 +222,7 @@ bool Gfsl::repair_bottom_chunk(Team& team, ChunkRef ref) {
   }
   std::sort(live.begin(), live.end());
 
-  const bool is_head =
-      ref == head_[0].load(std::memory_order_acquire);
+  const bool is_head = ref == live_head(0);
   std::vector<KV> cand(static_cast<std::size_t>(arena_.dsize()), KV_EMPTY);
   std::size_t slot = 0;
   if (is_head) cand[slot++] = make_kv(KEY_NEG_INF, Value{0});
@@ -234,8 +247,7 @@ void Gfsl::quarantine_chunk(Team& team, ChunkRef ref, int level,
   const KV next_kv =
       arena_.entry(ref, arena_.next_slot()).load(std::memory_order_acquire);
   const Key hi = next_entry_max(next_kv);
-  const ChunkRef head =
-      head_[static_cast<std::size_t>(level)].load(std::memory_order_acquire);
+  const ChunkRef head = live_head(level);
 
   // Blast radius: keys in (pred_max, my_max] resident here are gone.  Only
   // the bottom level loses user data — an upper chunk is index-only, its
@@ -273,8 +285,8 @@ void Gfsl::quarantine_chunk(Team& team, ChunkRef ref, int level,
   integrity_->unseal(ref);
 
   if (ref == head || next_entry_ref(next_kv) == NULL_CHUNK) {
-    // Heads cannot be zombified (head_ pointers are never swung), and
-    // neither can a level tail: zombie-skip follows the zombie's next ref,
+    // The live head holds the level's only -inf sentinel, and a level tail
+    // cannot be zombified either: zombie-skip follows the zombie's next ref,
     // which for the last chunk is NULL_CHUNK.  Evacuate in place instead.
     // The stored max stays — an empty chunk with max `hi` is a legal
     // enclosing chunk that simply contains nothing, and an empty last chunk

@@ -138,14 +138,30 @@ Gfsl::SplitOutcome Gfsl::split_insert(Team& team, ChunkRef split_ref, Key k,
   for (int i = 0; i < half; ++i) out.moved.keys[i] = kv_key(skv[half + i]);
   const Key min_new = out.moved.keys[0];
 
+  // keyForNextLevel (§4.2.2): at level 0 raise max(k, minK) — raising minK
+  // directly would need a fresh traversal; above level 0 only the key that
+  // caused the split may be raised, since the bottom lock protects only it.
+  out.raised_key = (level == 0) ? std::max(k, min_new) : k;
+  out.raise = team.bernoulli(cfg_.p_chunk);  // on-device coin flip (§4.2.2)
+
   // insertNewData: the key lands in whichever side now encloses it.  The
   // side holding k stays locked (at level 0 it carries the bottom lock for
-  // the rest of the Insert); the other side is released.
+  // the rest of the Insert); the other side is released — unless it holds
+  // the key about to be raised.  At level 0 with k in the old half that key
+  // is minK, which lives in `fresh`: unlocked, an erase of minK could probe
+  // the upper levels before the raise reaches them and leave a raised minK
+  // with no copy below, a stale key whose down pointer overshoots every
+  // search in [minK, next key) forever.  `fresh` stays locked until the
+  // raise is done (insert_committed).
   if (k <= thresh) {
     const LaneVec<KV> cur = read_chunk(team, split_ref);
     execute_insert(team, split_ref, cur, k, v);
     out.locked = split_ref;
-    unlock(team, fresh);
+    if (level == 0 && out.raise) {
+      out.raise_guard = fresh;
+    } else {
+      unlock(team, fresh);
+    }
   } else {
     const LaneVec<KV> cur = read_chunk(team, fresh);
     execute_insert(team, fresh, cur, k, v);
@@ -153,11 +169,6 @@ Gfsl::SplitOutcome Gfsl::split_insert(Team& team, ChunkRef split_ref, Key k,
     unlock(team, split_ref);
   }
   if (after != NULL_CHUNK) unlock(team, after);
-
-  // keyForNextLevel (§4.2.2): at level 0 raise max(k, minK) — raising minK
-  // directly would need a fresh traversal; above level 0 only the key that
-  // caused the split may be raised, since the bottom lock protects only it.
-  out.raised_key = (level == 0) ? std::max(k, min_new) : k;
 
   // Repair level+1 down-pointers for the moved keys (Algorithm 4.10).
   update_down_ptrs(team, level, out.moved);

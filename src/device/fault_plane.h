@@ -65,7 +65,7 @@ constexpr int kFaultKindCount = 5;
 const char* fault_section_name(FaultSection s);
 const char* fault_kind_name(FaultKind k);
 /// Parses the names fault_section_name/fault_kind_name print; returns false
-/// on unknown input (the CLI `--corrupt <section>:<kind>:<seed>` path).
+/// on unknown input.
 bool parse_fault_section(const std::string& s, FaultSection* out);
 bool parse_fault_kind(const std::string& s, FaultKind* out);
 

@@ -1,5 +1,6 @@
 // Crash tolerance: lock leases, intent-based roll-forward/roll-back, lock
-// stealing, and the crash-point sweep harness.
+// stealing, and the fault-sweep driver (harness/fault_sweep.h) with all three
+// of its injectors.
 //
 // The scripted tests here are exhaustive in miniature: a single victim team
 // runs a fixed op script under the deterministic scheduler, and the test
@@ -9,6 +10,9 @@
 // checked as optional (crashed) via the history checker.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,7 +20,7 @@
 
 #include "core/gfsl.h"
 #include "device/device_memory.h"
-#include "harness/crash_sweep.h"
+#include "harness/fault_sweep.h"
 #include "harness/history.h"
 #include "harness/options.h"
 #include "obs/metrics.h"
@@ -26,7 +30,7 @@
 
 using namespace gfsl;
 using harness::check_history;
-using harness::CrashSweepConfig;
+using harness::FaultSweepConfig;
 using harness::HistoryEvent;
 using harness::HistoryLog;
 
@@ -327,7 +331,7 @@ TEST(CrashSweepScripted, MedicReleasesDeadLocks) {
 // `gfsl_fuzz --crash-sweep`; this keeps ctest fast).
 
 TEST(CrashSweepConcurrent, BoundedSweepWithSurvivors) {
-  CrashSweepConfig cfg;
+  FaultSweepConfig cfg;
   cfg.workers = 3;
   cfg.team_size = 8;
   cfg.ops = 48;
@@ -335,17 +339,17 @@ TEST(CrashSweepConcurrent, BoundedSweepWithSurvivors) {
   cfg.wl_seed = 11;
   cfg.sched_seed = 12;
   cfg.stride = 5;
-  const auto res = run_crash_sweep(cfg);
-  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
+  const auto res = run_fault_sweep(cfg);
+  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at << ": "
                       << res.error;
-  EXPECT_GT(res.baseline_steps, 0u);
-  EXPECT_GT(res.kills_landed, 0u);
+  EXPECT_GT(res.points, 0u);
+  EXPECT_GT(res.tally.kills_landed, 0u);
 }
 
 TEST(CrashSweepConcurrent, SurvivorsStealViaLeaseProbe) {
   // With survivors present, expired-lease probing (not just the medic)
   // must be doing recovery work: sweep and check the aggregated counters.
-  CrashSweepConfig cfg;
+  FaultSweepConfig cfg;
   cfg.workers = 3;
   cfg.team_size = 8;
   cfg.ops = 64;
@@ -354,8 +358,8 @@ TEST(CrashSweepConcurrent, SurvivorsStealViaLeaseProbe) {
   cfg.sched_seed = 22;
   cfg.stride = 3;
   obs::MetricsRegistry reg(cfg.workers + 1);
-  const auto res = run_crash_sweep(cfg, &reg);
-  ASSERT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
+  const auto res = run_fault_sweep(cfg, &reg);
+  ASSERT_TRUE(res.ok) << "kill step " << res.failed_at << ": "
                       << res.error;
   const auto merged = reg.merged();
   EXPECT_GT(merged.counter(obs::kLeaseExpiries) +
@@ -373,7 +377,7 @@ TEST(CrashSweepConcurrent, SurvivorsStealViaLeaseProbe) {
 // per-key-linearizable history.
 
 TEST(CrashSweepBatched, BoundedSweepInsideShardExecution) {
-  CrashSweepConfig cfg;
+  FaultSweepConfig cfg;
   cfg.workers = 3;
   cfg.team_size = 8;
   cfg.ops = 48;
@@ -383,18 +387,18 @@ TEST(CrashSweepBatched, BoundedSweepInsideShardExecution) {
   cfg.stride = 5;
   cfg.batched = true;
   cfg.batch_shard_ops = 6;  // many small shards: steals happen mid-sweep
-  const auto res = run_crash_sweep(cfg);
-  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
+  const auto res = run_fault_sweep(cfg);
+  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at << ": "
                       << res.error;
-  EXPECT_GT(res.baseline_steps, 0u);
-  EXPECT_GT(res.kills_landed, 0u);
+  EXPECT_GT(res.points, 0u);
+  EXPECT_GT(res.tally.kills_landed, 0u);
 }
 
 TEST(CrashSweepBatched, BatchedSweepWithEpochPins) {
   // With an EpochManager attached the victim can die holding its per-shard
   // pin; the medic's force-quiesce must unwedge the epoch so validation's
   // limbo/free classification still balances.
-  CrashSweepConfig cfg;
+  FaultSweepConfig cfg;
   cfg.workers = 3;
   cfg.team_size = 8;
   cfg.ops = 48;
@@ -405,10 +409,10 @@ TEST(CrashSweepBatched, BatchedSweepWithEpochPins) {
   cfg.batched = true;
   cfg.batch_shard_ops = 6;
   cfg.attach.epochs = true;
-  const auto res = run_crash_sweep(cfg);
-  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
+  const auto res = run_fault_sweep(cfg);
+  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at << ": "
                       << res.error;
-  EXPECT_GT(res.kills_landed, 0u);
+  EXPECT_GT(res.tally.kills_landed, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,7 +423,7 @@ TEST(CrashSweepBatched, BatchedSweepWithEpochPins) {
 // snapshot isolation is not allowed to depend on the crash-repair path.
 
 TEST(CrashSweepSnapshots, HeldSnapshotSurvivesEveryKill) {
-  CrashSweepConfig cfg;
+  FaultSweepConfig cfg;
   cfg.workers = 3;
   cfg.team_size = 8;
   cfg.ops = 48;
@@ -429,11 +433,11 @@ TEST(CrashSweepSnapshots, HeldSnapshotSurvivesEveryKill) {
   cfg.stride = 5;
   cfg.attach.snapshots = true;
   cfg.prefill = 10;
-  const auto res = run_crash_sweep(cfg);
-  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
+  const auto res = run_fault_sweep(cfg);
+  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at << ": "
                       << res.error;
-  EXPECT_GT(res.kills_landed, 0u);
-  EXPECT_GT(res.snapshot_checks, 0u)
+  EXPECT_GT(res.tally.kills_landed, 0u);
+  EXPECT_GT(res.tally.snapshot_checks, 0u)
       << "sweep never actually verified the held snapshot";
 }
 
@@ -442,7 +446,7 @@ TEST(CrashSweepSnapshots, HeldSnapshotSurvivesBatchedKillsWithEpochs) {
   // execution) plus an EpochManager (the medic force-quiesces the victim's
   // pin and reclaim/prune can run), all under a held snapshot.  Record
   // pruning through the watermark must still respect the held revision.
-  CrashSweepConfig cfg;
+  FaultSweepConfig cfg;
   cfg.workers = 3;
   cfg.team_size = 8;
   cfg.ops = 48;
@@ -455,11 +459,11 @@ TEST(CrashSweepSnapshots, HeldSnapshotSurvivesBatchedKillsWithEpochs) {
   cfg.attach.epochs = true;
   cfg.attach.snapshots = true;
   cfg.prefill = 7;
-  const auto res = run_crash_sweep(cfg);
-  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
+  const auto res = run_fault_sweep(cfg);
+  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at << ": "
                       << res.error;
-  EXPECT_GT(res.kills_landed, 0u);
-  EXPECT_GT(res.snapshot_checks, 0u)
+  EXPECT_GT(res.tally.kills_landed, 0u);
+  EXPECT_GT(res.tally.snapshot_checks, 0u)
       << "sweep never actually verified the held snapshot";
 }
 
@@ -473,7 +477,7 @@ TEST(CrashSweepSnapshots, HeldSnapshotSurvivesBatchedKillsWithEpochs) {
 // validate + per-key linearizability checks run unchanged.
 
 TEST(CrashSweepForesight, BoundedSweepWithHintedDescents) {
-  CrashSweepConfig cfg;
+  FaultSweepConfig cfg;
   cfg.workers = 3;
   cfg.team_size = 8;
   cfg.ops = 48;
@@ -482,11 +486,11 @@ TEST(CrashSweepForesight, BoundedSweepWithHintedDescents) {
   cfg.sched_seed = 72;
   cfg.stride = 5;
   cfg.attach.foresight = true;
-  const auto res = run_crash_sweep(cfg);
-  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
+  const auto res = run_fault_sweep(cfg);
+  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at << ": "
                       << res.error;
-  EXPECT_GT(res.baseline_steps, 0u);
-  EXPECT_GT(res.kills_landed, 0u);
+  EXPECT_GT(res.points, 0u);
+  EXPECT_GT(res.tally.kills_landed, 0u);
 }
 
 TEST(CrashSweepForesight, HintedSweepWithEpochReclaim) {
@@ -494,7 +498,7 @@ TEST(CrashSweepForesight, HintedSweepWithEpochReclaim) {
   // published hints go stale through real generation bumps (not just
   // zombies) while victims die at every step — including inside the rebuild
   // walk, which must release its single-writer claim on unwind.
-  CrashSweepConfig cfg;
+  FaultSweepConfig cfg;
   cfg.workers = 3;
   cfg.team_size = 8;
   cfg.ops = 48;
@@ -504,10 +508,10 @@ TEST(CrashSweepForesight, HintedSweepWithEpochReclaim) {
   cfg.stride = 7;
   cfg.attach.epochs = true;
   cfg.attach.foresight = true;
-  const auto res = run_crash_sweep(cfg);
-  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
+  const auto res = run_fault_sweep(cfg);
+  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at << ": "
                       << res.error;
-  EXPECT_GT(res.kills_landed, 0u);
+  EXPECT_GT(res.tally.kills_landed, 0u);
 }
 
 TEST(CrashSweepForesight, HintedBatchedSweepWithEpochs) {
@@ -515,7 +519,7 @@ TEST(CrashSweepForesight, HintedBatchedSweepWithEpochs) {
   // accelerator), but the attached table is still marked dirty by every
   // split and merge; combine with epochs so kills land mid-shard while
   // reclaim churns the chunks the cursor names.
-  CrashSweepConfig cfg;
+  FaultSweepConfig cfg;
   cfg.workers = 3;
   cfg.team_size = 8;
   cfg.ops = 48;
@@ -527,10 +531,10 @@ TEST(CrashSweepForesight, HintedBatchedSweepWithEpochs) {
   cfg.batch_shard_ops = 6;
   cfg.attach.epochs = true;
   cfg.attach.foresight = true;
-  const auto res = run_crash_sweep(cfg);
-  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
+  const auto res = run_fault_sweep(cfg);
+  EXPECT_TRUE(res.ok) << "kill step " << res.failed_at << ": "
                       << res.error;
-  EXPECT_GT(res.kills_landed, 0u);
+  EXPECT_GT(res.tally.kills_landed, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -543,7 +547,7 @@ TEST(CrashSweepForesight, HintedBatchedSweepWithEpochs) {
 TEST(CrashSweepComposed, EveryInProcessSidecarArmed) {
   for (const bool batched : {false, true}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      CrashSweepConfig cfg;
+      FaultSweepConfig cfg;
       cfg.ops = 48;
       cfg.key_range = 24;
       cfg.prefill = cfg.key_range / 2;
@@ -555,19 +559,19 @@ TEST(CrashSweepComposed, EveryInProcessSidecarArmed) {
       cfg.attach.snapshots = true;
       cfg.attach.foresight = true;
       cfg.attach.integrity = harness::Attach::Integrity::kCrc32c;
-      const auto res = harness::run_crash_sweep(cfg);
+      const auto res = harness::run_fault_sweep(cfg);
       EXPECT_TRUE(res.ok) << (batched ? "batched" : "per-op") << " seed "
-                          << seed << ", kill step " << res.failed_at_step
+                          << seed << ", kill step " << res.failed_at
                           << ": " << res.error;
-      EXPECT_GT(res.kills_landed, 0u);
-      EXPECT_EQ(res.snapshot_checks, res.runs)
+      EXPECT_GT(res.tally.kills_landed, 0u);
+      EXPECT_EQ(res.tally.snapshot_checks, res.tally.runs)
           << "every run must verify the held snapshot";
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// gfsl_fuzz's crash modes print a repro made of flags; parsing it back must
+// gfsl_fuzz's sweep modes print a repro made of flags; parsing it back must
 // rebuild exactly the config that failed.
 
 harness::Options parse_words(const std::string& line) {
@@ -589,21 +593,144 @@ TEST(CrashSweepRepro, PrintedFlagsParseBackToTheSameConfig) {
       "--crash-sweep --ops 64 --range 32",
       "--crash-sweep --ops 64 --range 32 --with-epochs --with-snapshots "
       "--with-foresight --crash-stride 3 --postmortem-dir pm",
-      "--crash-at 17 --crash-seed 9 --workers 4 --team-size 16 --victim 2 "
-      "--prefill 5 --with-foresight",
+      "--crash-sweep --at 17 --crash-seed 9 --workers 4 --team-size 16 "
+      "--victim 2 --prefill 5 --with-foresight",
+      "--proc-crash-sweep --ops 80 --range 32 --work-dir pcs",
+      "--proc-crash-sweep --at 40 --crash-seed 3 --workers 1 --pool 2048 "
+      "--with-epochs --with-snapshots --crash-stride 3 --postmortem-dir pm",
+      "--corrupt-sweep",
+      "--corrupt-sweep --at 1 --seed 5 --ops 900 --range 64 --team-size 16 "
+      "--pool 8192 --corrupt-seeds 2 --crash-stride 2 --work-dir cs",
   };
   for (const char* line : cases) {
-    const CrashSweepConfig cfg = harness::crash_sweep_config(parse_words(line));
-    const std::string flags = harness::crash_sweep_flags(cfg);
-    EXPECT_EQ(harness::crash_sweep_config(parse_words(flags)), cfg)
+    const FaultSweepConfig cfg = harness::fault_sweep_config(parse_words(line));
+    const std::string flags = harness::fault_sweep_flags(cfg);
+    EXPECT_EQ(harness::fault_sweep_config(parse_words(flags)), cfg)
         << line << "\n  printed: " << flags;
+    const std::string mode_flag =
+        std::string(line).substr(0, std::string(line).find(' '));
+    EXPECT_EQ(flags.rfind(mode_flag, 0), 0u) << "mode flag first: " << flags;
   }
   // Every armed in-process flag is printed, epochs included.
-  const CrashSweepConfig all = harness::crash_sweep_config(
+  const FaultSweepConfig all = harness::fault_sweep_config(
       parse_words("--with-epochs --with-snapshots --with-foresight"));
-  EXPECT_NE(harness::crash_sweep_flags(all).find(
+  EXPECT_NE(harness::fault_sweep_flags(all).find(
                 "--with-epochs --with-snapshots --with-foresight"),
             std::string::npos);
+  // The mode flag picks the injector and its defaults.
+  const FaultSweepConfig proc =
+      harness::fault_sweep_config(parse_words("--proc-crash-sweep"));
+  EXPECT_EQ(proc.injector, harness::Injector::kProcessKill);
+  EXPECT_EQ(proc.workers, 2);
+  EXPECT_EQ(proc.ops, 160u);
+  const FaultSweepConfig cell =
+      harness::fault_sweep_config(parse_words("--corrupt-sweep"));
+  EXPECT_EQ(cell.injector, harness::Injector::kFaultCell);
+  EXPECT_EQ(cell.wl_seed, 0x5EED5EEDu);
+  EXPECT_EQ(cell.pool_chunks, 1u << 12);
+  EXPECT_EQ(cell.corrupt_seeds, 6u);
+}
+
+// ---------------------------------------------------------------------------
+// The process-kill and FaultPlane-cell injectors at tier-1 scale.  Each test
+// gets its own work directory, so parallel ctest runs cannot share region
+// files.
+
+class WorkDir {
+ public:
+  WorkDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "gfsl_sweep_XXXXXX")
+            .string();
+    path_ = ::mkdtemp(tmpl.data()) != nullptr ? tmpl : std::string();
+  }
+  ~WorkDir() {
+    if (!path_.empty()) std::filesystem::remove_all(path_);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+FaultSweepConfig sweep_config(const std::string& flags, const WorkDir& dir) {
+  return harness::fault_sweep_config(
+      parse_words(flags + " --work-dir " + dir.path()));
+}
+
+TEST(FaultSweep, ProcessKillPinsItsTallies) {
+  WorkDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const auto res = harness::run_fault_sweep(sweep_config(
+      "--proc-crash-sweep --ops 32 --range 16 --crash-stride 4", dir));
+  ASSERT_TRUE(res.ok) << "point " << res.failed_at << ": " << res.error;
+  EXPECT_EQ(res.points, 58u);
+  EXPECT_EQ(res.tally.runs, 16u);
+  EXPECT_EQ(res.tally.kills_landed, 15u);
+  EXPECT_EQ(res.tally.locks_released, 10u);
+  EXPECT_EQ(res.tally.intents_replayed, 6u);
+  EXPECT_EQ(res.tally.chunks_freed, 0u);
+}
+
+TEST(FaultSweep, FaultCellPinsItsTallies) {
+  WorkDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const auto res = harness::run_fault_sweep(
+      sweep_config("--corrupt-sweep --corrupt-seeds 1 --ops 200", dir));
+  ASSERT_TRUE(res.ok) << "point " << res.failed_at << ": " << res.error;
+  EXPECT_EQ(res.points, 25u);
+  EXPECT_EQ(res.tally.runs, 25u);
+  EXPECT_EQ(res.tally.injected, 20u);
+  EXPECT_EQ(res.tally.detected, 9u);
+  EXPECT_EQ(res.tally.repaired, 4u);
+  EXPECT_EQ(res.tally.quarantined, 1u);
+  EXPECT_EQ(res.tally.keys_lost, 0u);
+  EXPECT_EQ(res.tally.rejected_typed, 4u);
+  EXPECT_EQ(res.tally.recoveries, 20u);
+  EXPECT_EQ(res.tally.barriers_dropped, 5u);
+}
+
+TEST(FaultSweep, FaultCellsStayCleanAtLongerWorkloads) {
+  // At 900 ops a merge has zombified the level-0 head by the time cell
+  // chunk:flip:0 damages the live head behind it; scrub used to drop that
+  // chunk's -inf sentinel ("level 0 lost its -inf key").
+  WorkDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  for (const char* ops : {"900", "2000"}) {
+    const auto res = harness::run_fault_sweep(sweep_config(
+        std::string("--corrupt-sweep --corrupt-seeds 1 --ops ") + ops, dir));
+    EXPECT_TRUE(res.ok) << "--ops " << ops << ": " << res.error
+                        << "\n  repro: " << res.repro;
+  }
+}
+
+TEST(FaultSweep, AtReplaysReproduceTheSweepTally) {
+  // Replaying every swept point alone with --at K and summing the tallies
+  // gives the sweep's tally, plus one extra baseline per replay (only the
+  // process kill's baseline counts anything).
+  WorkDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  for (const char* flags :
+       {"--crash-sweep --ops 32 --range 16 --crash-stride 9",
+        "--proc-crash-sweep --ops 24 --range 16 --crash-stride 9",
+        "--corrupt-sweep --corrupt-seeds 1 --ops 120 --crash-stride 3"}) {
+    FaultSweepConfig cfg = sweep_config(flags, dir);
+    const auto sweep = harness::run_fault_sweep(cfg);
+    ASSERT_TRUE(sweep.ok) << flags << ": " << sweep.error;
+    const harness::FaultTally baseline =
+        harness::run_fault_point(cfg, 0, 0).tally;
+    harness::FaultTally replayed;
+    harness::FaultTally expected = sweep.tally;
+    for (std::uint64_t k = 1; k <= sweep.points; k += cfg.stride) {
+      cfg.at = k;
+      const auto one = harness::run_fault_sweep(cfg);
+      ASSERT_TRUE(one.ok) << flags << " --at " << k << ": " << one.error;
+      EXPECT_EQ(one.points, sweep.points);
+      replayed += one.tally;
+      if (k > 1) expected += baseline;
+    }
+    EXPECT_EQ(replayed, expected) << flags;
+  }
 }
 
 }  // namespace

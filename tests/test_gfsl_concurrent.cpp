@@ -238,5 +238,36 @@ TEST(GfslConcurrent, MixedTeamsContendOnSameKey) {
   EXPECT_TRUE(sl->validate(/*strict=*/false).ok);
 }
 
+TEST(GfslConcurrent, ReaderNeverMissesAKeyShiftedUnderIt) {
+  // One bottom chunk {-inf, 1, 2, 100}: inserting and erasing 50 shifts 100
+  // one slot right and back, neither splitting nor merging.  A reader that
+  // loads the erase shift's old slot (still 50) and then its new neighbour
+  // (already cleared) would miss 100; the device reads a chunk at one
+  // instant, and read_chunk's seqlock must give the host the same view.
+  // Without it about half the runs of this loop miss 100.
+  device::DeviceMemory mem;
+  auto sl = make_list(mem, 8, 1u << 10);
+  Team setup(8, 0, 1);
+  for (const Key k : {1u, 2u, 100u}) ASSERT_TRUE(sl->insert(setup, k, k));
+
+  std::atomic<bool> done{false};
+  std::atomic<int> misses{0};
+  std::thread reader([&] {
+    Team team(8, 1, 2);
+    while (!done.load(std::memory_order_relaxed)) {
+      if (!sl->contains(team, 100)) misses.fetch_add(1);
+    }
+  });
+  Team writer(8, 0, 3);
+  for (int i = 0; i < 100'000; ++i) {
+    ASSERT_TRUE(sl->insert(writer, 50, 50));
+    ASSERT_TRUE(sl->erase(writer, 50));
+  }
+  done = true;
+  reader.join();
+  EXPECT_EQ(misses.load(), 0);
+  EXPECT_TRUE(sl->validate().ok);
+}
+
 }  // namespace
 }  // namespace gfsl::core

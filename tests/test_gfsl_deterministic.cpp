@@ -3,6 +3,7 @@
 // plus reader failure injection.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <thread>
@@ -179,6 +180,53 @@ TEST(GfslDeterministic, WriterAndReaderInterleaved) {
   reader.join();
   EXPECT_EQ(violations.load(), 0);
   EXPECT_TRUE(sl.validate().ok);
+}
+
+TEST(GfslDeterministic, RaisedSplitKeyNeverOutlivesItsBottomCopy) {
+  // A level-0 split that puts the new key in the old half raises the fresh
+  // chunk's first key, which the inserter's bottom lock does not cover.
+  // Were the fresh chunk unlocked before the raise, an erase of that key
+  // could probe the upper levels first and leave the raised copy with no
+  // key below it; its down pointer then overshoots every search in
+  // [key, next key), which restarts forever.  Three teams churn one shared
+  // key range; with the fresh chunk released early, seeds 26, 44 and 47
+  // strand a key.  The watchdog turns a livelock into a failure.
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    device::DeviceMemory mem;
+    StepScheduler sched(StepScheduler::Mode::Deterministic, seed, 3);
+    sched.kill_all_at(1'000'000);  // a clean run takes under 7,000 steps
+    GfslConfig cfg;
+    cfg.team_size = 8;
+    cfg.pool_chunks = 1u << 12;
+    Gfsl sl(cfg, &mem, &sched);
+
+    std::atomic<int> hung{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 3; ++t) {
+      threads.emplace_back([&, t] {
+        Team team(8, t, 5 + seed);
+        Xoshiro256ss rng(derive_seed(seed, static_cast<std::uint64_t>(t)));
+        sched.enter(t);
+        try {
+          for (int i = 0; i < 150; ++i) {
+            const Key k = static_cast<Key>(1 + rng.below(32));
+            if (rng.below(2) == 0) {
+              sl.insert(team, k, k);
+            } else {
+              sl.erase(team, k);
+            }
+          }
+          sched.leave(t);
+        } catch (const sched::TeamKilled&) {
+          ++hung;
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    ASSERT_EQ(hung.load(), 0) << "seed " << seed << ": livelock";
+    const auto rep = sl.validate(/*strict=*/true);
+    ASSERT_TRUE(rep.ok) << "seed " << seed << ": " << rep.error;
+  }
 }
 
 }  // namespace

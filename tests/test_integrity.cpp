@@ -329,6 +329,49 @@ TEST(IntegrityLive, ScrubRepairsUpperChunkFromLevelBelow) {
   EXPECT_EQ(got, model);
 }
 
+TEST(IntegrityLive, ScrubRepairsTheLiveHeadBehindAZombieLevelHead) {
+  // A merge of the first bottom chunk zombifies it and moves the -inf
+  // sentinel into its successor; head_[0] keeps naming the zombie until a
+  // traversal swings it.  Damage to that successor (the live head) must be
+  // repaired with the sentinel in place, not quarantined as if it were an
+  // interior chunk (which zombified the only -inf holder).
+  ArmoredFixture f;
+  std::map<Key, Value> model;
+  for (Key k = 1; k <= 60; ++k) {
+    f.sl.insert(f.team, k * 3, k);
+    model[k * 3] = k;
+  }
+  GfslInspector insp(f.sl);
+  bool cycle = false;
+  for (Key k = 1; k <= 60 && insp.level_chain(0, &cycle).front().lock !=
+                                 kZombie;
+       ++k) {
+    f.sl.erase(f.team, k * 3);
+    model.erase(k * 3);
+  }
+  const auto chain = insp.level_chain(0, &cycle);
+  ASSERT_EQ(chain.front().lock, kZombie) << "no merge zombified the head";
+  ChunkRef live_head = NULL_CHUNK;
+  for (const auto& v : chain) {
+    if (v.lock == kZombie) continue;
+    ASSERT_EQ(kv_key(v.data.front()), KEY_NEG_INF);
+    live_head = v.ref;
+    break;
+  }
+  ASSERT_NE(live_head, NULL_CHUNK);
+  corrupt_first_user_slot(f.sl, live_head, device::FaultKind::kBitFlip, 7);
+
+  const ScrubReport rep = f.sl.scrub_pass(f.team);
+  EXPECT_EQ(rep.mismatches, 1u);
+  EXPECT_EQ(rep.repaired, 1u);
+  EXPECT_EQ(rep.quarantined, 0u);
+  const auto vrep = f.sl.validate(false);
+  ASSERT_TRUE(vrep.ok) << vrep.error;
+  std::map<Key, Value> got;
+  for (const auto& [k, v] : f.sl.collect()) got[k] = v;
+  EXPECT_EQ(got, model);
+}
+
 // --- Quarantine and blast radius --------------------------------------------
 
 TEST(IntegrityLive, StuckCellEscalatesToQuarantineWithExactBlastRadius) {

@@ -14,7 +14,7 @@
 #include "device/device_memory.h"
 #include "device/epoch.h"
 #include "device/persist.h"
-#include "harness/crash_sweep.h"
+#include "harness/fault_sweep.h"
 #include "harness/runner.h"
 #include "sched/lease.h"
 #include "sched/step_scheduler.h"
@@ -463,17 +463,17 @@ TEST(ReclaimPersist, TornOddGenChunkClassifiedFreeNeverLive) {
 // ---- crash composition -----------------------------------------------------
 
 TEST(ReclaimCrash, SweepWithEpochsStaysConsistent) {
-  harness::CrashSweepConfig cfg;
+  harness::FaultSweepConfig cfg;
   cfg.workers = 3;
   cfg.team_size = 8;
   cfg.ops = 96;
   cfg.key_range = 48;
   cfg.stride = 5;
   cfg.attach.epochs = true;
-  const auto res = harness::run_crash_sweep(cfg);
-  EXPECT_TRUE(res.ok) << res.error << " (kill step " << res.failed_at_step
+  const auto res = harness::run_fault_sweep(cfg);
+  EXPECT_TRUE(res.ok) << res.error << " (kill step " << res.failed_at
                       << ")";
-  EXPECT_GT(res.kills_landed, 0u);
+  EXPECT_GT(res.tally.kills_landed, 0u);
 }
 
 // ---- determinism -----------------------------------------------------------

@@ -51,11 +51,9 @@
 //   --scrub N                       with --integrity (implied): run N online
 //                                   scrub passes after the detail run and
 //                                   print the integrity stat rows (gfsl only)
-//   --corrupt SECTION:KIND:SEED     no workload: run one corruption-sweep
-//                                   cell (sections chunk|freelist|intent|
-//                                   superblock|generation, kinds flip|
-//                                   multiflip|torn|stuck|dropbarrier) and
-//                                   print what the armor did about it
+//
+// Fault injection lives in gfsl_fuzz (--crash-sweep, --proc-crash-sweep,
+// --corrupt-sweep, each replaying one point with --at K).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -63,8 +61,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "device/fault_plane.h"
-#include "harness/corrupt_sweep.h"
 #include "harness/experiment.h"
 #include "harness/options.h"
 #include "harness/report.h"
@@ -103,49 +99,8 @@ int usage() {
                "[--prefill empty|half|full] [--warmup N] [--batch-size N] "
                "[--foresight] [--snapshot-scan] [--csv] [--metrics-json PATH] "
                "[--trace-out PATH] [--postmortem-out PATH] [--persist PATH] "
-               "[--recover] [--integrity] [--scrub N] "
-               "[--corrupt SECTION:KIND:SEED]\n");
+               "[--recover] [--integrity] [--scrub N]\n");
   return 2;
-}
-
-/// One corruption-sweep cell (the `--corrupt section:kind:seed` repro form
-/// the sweep's failure lines print): inject exactly that fault, run the
-/// detect/repair/quarantine pipeline, and report what the armor did.
-int run_corrupt_cell(const Options& opt, bool csv) {
-  const std::string spec = opt.get("corrupt", "");
-  CorruptSweepConfig cfg;
-  if (!parse_corrupt_cell(spec, &cfg)) {
-    std::fprintf(stderr,
-                 "error: --corrupt wants SECTION:KIND:SEED (sections "
-                 "chunk|freelist|intent|superblock|generation, kinds "
-                 "flip|multiflip|torn|stuck|dropbarrier)\n");
-    return 2;
-  }
-  cfg.team_size = static_cast<int>(opt.get_u64("team-size", 8));
-  cfg.ops = opt.get_u64("ops", 400);
-  cfg.key_range = opt.get_u64("range", 96);
-  cfg.base_seed = opt.get_u64("seed", 0x5EED5EEDull);
-  cfg.postmortem_dir = opt.get("postmortem-out", "");
-  const CorruptSweepResult res = run_corrupt_sweep(cfg);
-
-  Table t({"metric", "value"});
-  t.add_row({"cell", spec});
-  t.add_row({"resolved", res.ok ? "yes" : "NO"});
-  t.add_row({"faults injected", std::to_string(res.injected)});
-  t.add_row({"faults detected", std::to_string(res.detected)});
-  t.add_row({"chunks repaired", std::to_string(res.repaired)});
-  t.add_row({"chunks quarantined", std::to_string(res.quarantined)});
-  t.add_row({"keys lost (reported)", std::to_string(res.keys_lost)});
-  t.add_row({"typed rejections", std::to_string(res.rejected_typed)});
-  t.add_row({"recoveries verified", std::to_string(res.recoveries)});
-  t.add_row({"barriers dropped", std::to_string(res.barriers_dropped)});
-  if (!res.ok) t.add_row({"error", res.error});
-  if (csv) {
-    t.print_csv(std::cout);
-  } else {
-    t.print(std::cout);
-  }
-  return res.ok ? 0 : 1;
 }
 
 /// Offline crash recovery: attach the region file, adopt its image, run the
@@ -202,19 +157,11 @@ int main(int argc, char** argv) {
       "workers",   "prefill", "warmup",          "csv",    "help",
       "metrics-json", "trace-out", "batch-size", "postmortem-out",
       "persist",   "recover", "snapshot-scan", "foresight",
-      "integrity", "scrub",   "corrupt"};
+      "integrity", "scrub"};
   if (opt.get_bool("help")) return usage();
   for (const auto& u : opt.unknown(known)) {
     std::fprintf(stderr, "error: unknown option --%s\n", u.c_str());
     return usage();
-  }
-  if (opt.has("corrupt")) {
-    try {
-      return run_corrupt_cell(opt, opt.get_bool("csv"));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: corruption cell failed: %s\n", e.what());
-      return 1;
-    }
   }
   if (opt.get_bool("recover")) {
     const std::string path = opt.get("persist", "");

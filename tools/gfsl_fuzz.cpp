@@ -2,47 +2,47 @@
 //
 //   gfsl_fuzz [--rounds N] [--workers N] [--ops N] [--range N] [--team-size N]
 //             [--seed S] [--with-foresight]
-//       Each round draws a fresh workload seed and scheduler seed and runs
-//       one crash-sweep run with no kill step and no lease table
-//       (harness/crash_sweep.h): validate() plus per-key linearizability of
+//       Each round draws a fresh workload seed and scheduler seed from --seed
+//       and runs the scheduler-kill sweep's baseline with no lease table
+//       (harness/fault_sweep.h): validate() plus per-key linearizability of
 //       the recorded history.  --with-foresight attaches a hint table that
 //       rebuilds after every dirty event (DESIGN.md §14) and adds a
-//       full-range contains() differential against collect().  A failure
-//       prints its seeds; plug them into gfsl_replay to debug.
+//       full-range contains() differential against collect().  A failed
+//       round R prints `--seed S --rounds R+1 ...`, which replays the rounds
+//       up to and including it.
 //
 // Every mode exits non-zero on the first failure and accepts
 //   --postmortem-dir DIR   arm clockless flight-recorder rings and drop a
 //       gfsl-postmortem-v1 bundle (event tails, metrics, structure walk,
 //       repro parameters) into DIR, which must exist, when a run fails;
-//   --metrics-json PATH    (churn / crash / batch modes) write the merged
-//       gfsl-metrics-v1 snapshot to PATH (crash modes: alias --metrics-out).
+//   --metrics-json PATH    (churn / sweep / batch modes) write the merged
+//       gfsl-metrics-v1 snapshot to PATH (sweeps: alias --metrics-out).
 //
-//   gfsl_fuzz --crash-sweep [--crash-seed S] [--crash-stride N] [--workers N]
-//             [--team-size N] [--ops N] [--range N] [--victim T]
-//             [--prefill N] [--with-epochs] [--with-snapshots]
+// Fault sweeps (harness/fault_sweep.h): a baseline run counts the injection
+// points, then every --crash-stride-th point runs and must survive.  A
+// failure prints `<mode> --at K <every flag that shaped the run>`, which
+// replays that one point; `--at K` works in every sweep mode.
+//
+//   gfsl_fuzz --crash-sweep [--crash-seed S] [--crash-stride N] [--at K]
+//             [--workers N] [--team-size N] [--ops N] [--range N] [--pool N]
+//             [--victim T] [--prefill N] [--with-epochs] [--with-snapshots]
 //             [--with-foresight]
-//       Kill the victim team at every stride-th yield step of the seeded
-//       reference run (harness/crash_sweep.h); every run must recover.
-//   gfsl_fuzz --crash-at STEP ...
-//       Replay one kill step.  A failing sweep prints this form with every
-//       flag that shaped the run.
+//       Kill the victim team at every yield step of the seeded reference
+//       run; the survivors and a medic must recover.
 //
-//   gfsl_fuzz --proc-crash-sweep [--crash-seed S] [--crash-stride N]
+//   gfsl_fuzz --proc-crash-sweep [--crash-seed S] [--crash-stride N] [--at K]
 //             [--workers N] [--team-size N] [--ops N] [--range N] [--pool N]
 //             [--with-epochs] [--with-snapshots] [--work-dir DIR]
 //       SIGKILL a forked child at every persist point of a file-backed run;
 //       the parent recovers the image and checks it against the child's op
-//       journal (harness/proc_crash_sweep.h).
+//       journal.
 //
-//   gfsl_fuzz --corrupt-sweep [--corrupt-seeds N] [--seed S] [--team-size N]
-//             [--ops N] [--range N] [--pool N] [--work-dir DIR]
-//   gfsl_fuzz --corrupt SECTION:KIND:SEED [...]
+//   gfsl_fuzz --corrupt-sweep [--corrupt-seeds N] [--seed S] [--at K]
+//             [--crash-stride N] [--team-size N] [--ops N] [--range N]
+//             [--pool N] [--work-dir DIR]
 //       One injected fault per run across every durable section x fault
-//       kind x seed; it must be repaired, quarantined inside a reported
-//       blast radius, or refused with a typed rejection
-//       (harness/corrupt_sweep.h, DESIGN.md §15).  The single-cell form is
-//       the repro a failure prints.  Sections: chunk freelist intent
-//       superblock generation.  Kinds: flip multiflip torn stuck dropbarrier.
+//       kind x seed (DESIGN.md §15); it must be repaired, quarantined inside
+//       a reported blast radius, or refused with a typed rejection.
 //
 //   gfsl_fuzz --churn [--workers N] [--ops N] [--range N] [--team-size N]
 //             [--pool N] [--seed S] [--persist PATH]
@@ -63,12 +63,10 @@
 #include <fstream>
 
 #include "common/random.h"
-#include "harness/corrupt_sweep.h"
-#include "harness/crash_sweep.h"
 #include "harness/experiment.h"
+#include "harness/fault_sweep.h"
 #include "harness/options.h"
 #include "harness/postmortem.h"
-#include "harness/proc_crash_sweep.h"
 #include "harness/rig.h"
 #include "harness/runner.h"
 #include "harness/workload.h"
@@ -87,158 +85,23 @@ void dump_metrics(const obs::MetricsRegistry& reg, const std::string& path) {
   std::printf("metrics written to %s\n", path.c_str());
 }
 
-int run_crash_mode(const Options& opt) {
-  const CrashSweepConfig cfg = crash_sweep_config(opt);
+int run_sweep_mode(const Options& opt) {
+  const FaultSweepConfig cfg = fault_sweep_config(opt);
+  const char* mode = injector_mode(cfg.injector);
   obs::MetricsRegistry reg(cfg.workers + 1);
-  reg.set_info("mode", opt.has("crash-at") ? "crash-at" : "crash-sweep");
+  reg.set_info("mode", mode);
+  const auto res = run_fault_sweep(cfg, &reg, stdout);
   // --metrics-json is the cross-mode spelling; --metrics-out predates it.
-  const std::string metrics_out =
-      opt.get("metrics-json", opt.get("metrics-out", ""));
-
-  if (opt.has("crash-at")) {
-    const auto step = opt.get_u64("crash-at", 1);
-    // Watchdog needs the baseline step count; run the fault-free reference
-    // first.
-    const auto base = run_crash_at(cfg, UINT64_MAX, UINT64_MAX, nullptr);
-    if (!base.ok) {
-      std::printf("FAIL baseline: %s\n", base.error.c_str());
-      return 1;
-    }
-    const auto r = run_crash_at(
-        cfg, step, base.steps * cfg.watchdog_factor + cfg.watchdog_slack,
-        &reg);
-    dump_metrics(reg, metrics_out);
-    if (!r.ok) {
-      std::printf("FAIL crash-at %llu: %s\n  repro: --crash-at %llu %s\n",
-                  static_cast<unsigned long long>(step), r.error.c_str(),
-                  static_cast<unsigned long long>(step),
-                  crash_sweep_flags(cfg).c_str());
-      return 1;
-    }
-    std::printf("crash-at %llu clean (victim %s, %d locks medic-recovered)\n",
-                static_cast<unsigned long long>(step),
-                r.victim_killed ? "killed" : "survived", r.locks_recovered);
-    return 0;
-  }
-
-  const auto sweep = run_crash_sweep(cfg, &reg, stdout);
-  dump_metrics(reg, metrics_out);
-  if (!sweep.ok) {
-    std::printf("FAIL crash-sweep at step %llu: %s\n"
-                "  repro: --crash-at %llu %s\n",
-                static_cast<unsigned long long>(sweep.failed_at_step),
-                sweep.error.c_str(),
-                static_cast<unsigned long long>(sweep.failed_at_step),
-                crash_sweep_flags(cfg).c_str());
-    return 1;
-  }
-  std::printf(
-      "crash-sweep clean: %llu runs over %llu steps (stride %llu), "
-      "%llu kills landed, %llu medic recoveries, %llu snapshot checks "
-      "(workers=%d team=%d ops=%llu range=%llu seed=%llu%s)\n",
-      static_cast<unsigned long long>(sweep.runs),
-      static_cast<unsigned long long>(sweep.baseline_steps),
-      static_cast<unsigned long long>(cfg.stride),
-      static_cast<unsigned long long>(sweep.kills_landed),
-      static_cast<unsigned long long>(sweep.medic_recoveries),
-      static_cast<unsigned long long>(sweep.snapshot_checks), cfg.workers,
-      cfg.team_size, static_cast<unsigned long long>(cfg.ops),
-      static_cast<unsigned long long>(cfg.key_range),
-      static_cast<unsigned long long>(cfg.wl_seed),
-      attach_flags(cfg.attach).c_str());
-  return 0;
-}
-
-int run_proc_crash_mode(const Options& opt) {
-  ProcCrashSweepConfig cfg;
-  cfg.workers = static_cast<int>(opt.get_u64("workers", 2));
-  cfg.team_size = static_cast<int>(opt.get_u64("team-size", 8));
-  cfg.ops = opt.get_u64("ops", 160);
-  cfg.key_range = opt.get_u64("range", 64);
-  cfg.pool_chunks = static_cast<std::uint32_t>(opt.get_u64("pool", 1u << 14));
-  cfg.stride = opt.get_u64("crash-stride", 1);
-  cfg.attach.epochs = opt.get_bool("with-epochs");
-  cfg.attach.snapshots = opt.get_bool("with-snapshots");
-  cfg.work_dir = opt.get("work-dir", ".");
-  cfg.postmortem_dir = opt.get("postmortem-dir", "");
-  const auto seed = opt.get_u64("crash-seed", 0xAB5E);
-  cfg.wl_seed = seed;
-  cfg.sched_seed = seed ^ 0x9E3779B97F4A7C15ull;
-
-  const auto sweep = run_proc_crash_sweep(cfg, stdout);
-  if (!sweep.ok) {
-    std::printf(
-        "FAIL proc-crash-sweep at persist point %llu: %s\n"
-        "  repro: --proc-crash-sweep --crash-seed %llu --workers %d "
-        "--team-size %d --ops %llu --range %llu%s\n",
-        static_cast<unsigned long long>(sweep.failed_at_point),
-        sweep.error.c_str(), static_cast<unsigned long long>(seed),
-        cfg.workers, cfg.team_size, static_cast<unsigned long long>(cfg.ops),
-        static_cast<unsigned long long>(cfg.key_range),
-        attach_flags(cfg.attach).c_str());
-    return 1;
-  }
-  std::printf(
-      "proc-crash-sweep clean: %llu child runs over %llu persist points "
-      "(stride %llu), %llu SIGKILLs landed, %llu locks released, "
-      "%llu intents replayed, %llu chunks freed "
-      "(workers=%d team=%d ops=%llu range=%llu seed=%llu%s)\n",
-      static_cast<unsigned long long>(sweep.runs),
-      static_cast<unsigned long long>(sweep.persist_points),
-      static_cast<unsigned long long>(cfg.stride),
-      static_cast<unsigned long long>(sweep.kills_landed),
-      static_cast<unsigned long long>(sweep.locks_released),
-      static_cast<unsigned long long>(sweep.intents_replayed),
-      static_cast<unsigned long long>(sweep.chunks_freed), cfg.workers,
-      cfg.team_size, static_cast<unsigned long long>(cfg.ops),
-      static_cast<unsigned long long>(cfg.key_range),
-      static_cast<unsigned long long>(seed),
-      attach_flags(cfg.attach).c_str());
-  return 0;
-}
-
-int run_corrupt_mode(const Options& opt) {
-  CorruptSweepConfig cfg;
-  cfg.team_size = static_cast<int>(opt.get_u64("team-size", 8));
-  cfg.ops = opt.get_u64("ops", 400);
-  cfg.key_range = opt.get_u64("range", 96);
-  cfg.seeds = opt.get_u64("corrupt-seeds", 6);
-  cfg.base_seed = opt.get_u64("seed", 0x5EED5EEDull);
-  cfg.pool_chunks = static_cast<std::uint32_t>(opt.get_u64("pool", 1u << 12));
-  cfg.work_dir = opt.get("work-dir", ".");
-  cfg.postmortem_dir = opt.get("postmortem-dir", "");
-
-  // --corrupt SECTION:KIND:SEED narrows the matrix to one cell.
-  const std::string cell = opt.get("corrupt", "");
-  if (!cell.empty() && !parse_corrupt_cell(cell, &cfg)) {
-    std::printf("bad --corrupt spec '%s' (want SECTION:KIND:SEED)\n",
-                cell.c_str());
-    return 2;
-  }
-
-  const auto res = run_corrupt_sweep(cfg, stdout);
+  dump_metrics(reg, opt.get("metrics-json", opt.get("metrics-out", "")));
   if (!res.ok) {
-    std::printf("FAIL corrupt-sweep: %s\n", res.error.c_str());
+    std::printf("FAIL %s at point %llu: %s\n  repro: %s\n", mode,
+                static_cast<unsigned long long>(res.failed_at),
+                res.error.c_str(), res.repro.c_str());
     return 1;
   }
-  std::printf(
-      "corrupt-sweep clean: %llu runs, %llu faults injected, %llu detected, "
-      "%llu repaired, %llu quarantined (%llu keys lost, all reported), "
-      "%llu typed rejections, %llu recoveries, %llu barriers dropped "
-      "(team=%d ops=%llu range=%llu seeds=%llu base=%llu)\n",
-      static_cast<unsigned long long>(res.runs),
-      static_cast<unsigned long long>(res.injected),
-      static_cast<unsigned long long>(res.detected),
-      static_cast<unsigned long long>(res.repaired),
-      static_cast<unsigned long long>(res.quarantined),
-      static_cast<unsigned long long>(res.keys_lost),
-      static_cast<unsigned long long>(res.rejected_typed),
-      static_cast<unsigned long long>(res.recoveries),
-      static_cast<unsigned long long>(res.barriers_dropped), cfg.team_size,
-      static_cast<unsigned long long>(cfg.ops),
-      static_cast<unsigned long long>(cfg.key_range),
-      static_cast<unsigned long long>(cfg.seeds),
-      static_cast<unsigned long long>(cfg.base_seed));
+  std::printf("%s clean: %s (%s)\n", mode,
+              fault_tally_summary(cfg, res.points, res.tally).c_str(),
+              fault_sweep_flags(cfg).c_str());
   return 0;
 }
 
@@ -466,11 +329,11 @@ int run_batch_mode(const Options& opt) {
   return 0;
 }
 
-// Default mode: each round is a crash-sweep run with no kill step and no
-// lease table (harness/crash_sweep.h) on a fresh workload and schedule seed.
+// Default mode: each round is a scheduler-kill baseline with no lease table
+// (harness/fault_sweep.h) on a fresh workload and schedule seed.
 int run_round_mode(const Options& opt) {
   const auto rounds = opt.get_u64("rounds", 40);
-  CrashSweepConfig cfg;
+  FaultSweepConfig cfg;
   cfg.workers = static_cast<int>(opt.get_u64("workers", 3));
   cfg.team_size = static_cast<int>(opt.get_u64("team-size", 8));
   cfg.ops = opt.get_u64("ops", 600);
@@ -484,15 +347,15 @@ int run_round_mode(const Options& opt) {
   for (std::uint64_t round = 0; round < rounds; ++round) {
     cfg.wl_seed = rng.next();
     cfg.sched_seed = rng.next();
-    const auto r = run_crash_at(cfg, UINT64_MAX, UINT64_MAX);
-    if (!r.ok) {
+    const FaultPoint r = run_fault_point(cfg, 0, 0);
+    if (!r.error.empty()) {
       std::printf(
           "FAIL round %llu: %s\n"
-          "  repro: wl_seed=%llu sched_seed=%llu workers=%d team_size=%d "
-          "ops=%llu range=%llu%s\n",
+          "  repro: --seed %llu --rounds %llu --workers %d --team-size %d "
+          "--ops %llu --range %llu%s\n",
           static_cast<unsigned long long>(round), r.error.c_str(),
-          static_cast<unsigned long long>(cfg.wl_seed),
-          static_cast<unsigned long long>(cfg.sched_seed), cfg.workers,
+          static_cast<unsigned long long>(master),
+          static_cast<unsigned long long>(round + 1), cfg.workers,
           cfg.team_size, static_cast<unsigned long long>(cfg.ops),
           static_cast<unsigned long long>(cfg.key_range),
           attach_flags(cfg.attach).c_str());
@@ -515,14 +378,9 @@ int run_round_mode(const Options& opt) {
 
 int main(int argc, char** argv) {
   const Options opt = Options::parse(argc, argv);
-  if (opt.get_bool("proc-crash-sweep")) {
-    return run_proc_crash_mode(opt);
-  }
-  if (opt.get_bool("crash-sweep") || opt.has("crash-at")) {
-    return run_crash_mode(opt);
-  }
-  if (opt.get_bool("corrupt-sweep") || opt.has("corrupt")) {
-    return run_corrupt_mode(opt);
+  if (opt.get_bool("crash-sweep") || opt.get_bool("proc-crash-sweep") ||
+      opt.get_bool("corrupt-sweep")) {
+    return run_sweep_mode(opt);
   }
   if (opt.get_bool("churn")) {
     return run_churn_mode(opt);
