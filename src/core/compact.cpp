@@ -4,14 +4,30 @@
 //
 // Runs host-side at quiescence: collects the live bottom-level pairs, resets
 // the pool, and rebuilds a dense structure with every chunk filled to a
-// target factor and exactly one key raised per chunk (the ideal p_chunk = 1
-// shape, §3).  All zombie and stale chunks are reclaimed.
+// target factor and each chunk's first key raised with probability p_chunk,
+// as a split would raise it (§3); at p_chunk = 1 exactly one key per chunk.
+// All zombie and stale chunks are reclaimed.
 #include "core/gfsl.h"
 
 #include <algorithm>
 #include <new>
 
+#include "common/random.h"
+
 namespace gfsl::core {
+
+namespace {
+
+/// The raise coin of a rebuilt chunk: a pure function of its first key and
+/// its level (no RNG state), so a rebuild is reproducible and each level
+/// draws independently of the one below.
+bool rebuild_raises(Key first_key, int level, double p_chunk) {
+  SplitMix64 draw(static_cast<std::uint64_t>(first_key) << 8 |
+                  static_cast<std::uint64_t>(level));
+  return static_cast<double>(draw.next() >> 11) * 0x1.0p-53 < p_chunk;
+}
+
+}  // namespace
 
 void Gfsl::compact() {
   const auto pairs = collect();  // sorted: the bottom level is ordered
@@ -122,7 +138,10 @@ void Gfsl::rebuild(const std::vector<std::pair<Key, Value>>& pairs) {
       arena_.entry(tail, arena_.next_slot())
           .store(make_next_entry(tail_max, ch), std::memory_order_relaxed);
 
-      raised.emplace_back(current[at].first, static_cast<Value>(ch));
+      if (cfg_.p_chunk >= 1.0 ||
+          rebuild_raises(current[at].first, level, cfg_.p_chunk)) {
+        raised.emplace_back(current[at].first, static_cast<Value>(ch));
+      }
       tail = ch;
       ++made;
     }

@@ -50,6 +50,7 @@ struct GfslConfig {
   std::uint32_t pool_chunks = 1u << 20;
   /// Probability that a split raises a key to the next level (§3, §5.2:
   /// "p_chunk ≈ 1 ... gave the best results in all operation mixtures").
+  /// bulk_load and compact raise each rebuilt chunk's first key with it too.
   double p_chunk = 1.0;
 };
 
@@ -269,8 +270,9 @@ class Gfsl {
   void compact();
 
   /// Host-side bulk construction from sorted, distinct pairs (the untimed
-  /// initial-structure setup of §5.1).  Replaces the current contents.
-  /// Quiescent only.
+  /// initial-structure setup of §5.1).  Replaces the current contents.  Each
+  /// chunk's first key is raised with probability p_chunk, drawn from a hash
+  /// of the key and level.  Quiescent only.
   void bulk_load(const std::vector<std::pair<Key, Value>>& sorted_pairs);
 
  private:

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "common/random.h"
+#include "harness/experiment.h"
 #include "harness/report.h"
 #include "harness/rig.h"
 #include "model/cost_model.h"
@@ -20,37 +21,7 @@
 #include "simt/trace.h"
 
 namespace gfsl::harness {
-
-StructureSetup setup_from_scale(const Scale& sc, int team_size) {
-  StructureSetup s;
-  s.team_size = team_size;
-  s.p_chunk = env_double("GFSL_P_CHUNK", 1.0);
-  s.warps_per_block = static_cast<int>(env_u64("GFSL_WARPS_PER_BLOCK", 16));
-  s.num_workers = static_cast<int>(sc.teams);
-  s.warmup_ops = std::min<std::uint64_t>(sc.ops / 4, 20'000);
-  return s;
-}
-
-void print_scale_banner(const Scale& sc) {
-  std::printf(
-      "# scale: ops=%llu max_range=%llu reps=%llu teams=%llu "
-      "(env: GFSL_OPS, GFSL_MAX_RANGE, GFSL_REPS, GFSL_TEAMS; "
-      "paper scale: ops=10M, ranges to 100M, reps=10)\n",
-      static_cast<unsigned long long>(sc.ops),
-      static_cast<unsigned long long>(sc.max_range),
-      static_cast<unsigned long long>(sc.reps),
-      static_cast<unsigned long long>(sc.teams));
-}
-
-std::string mix_key(const Mix& mix) {
-  return "mix_" + std::to_string(mix.insert_pct) + "_" +
-         std::to_string(mix.delete_pct) + "_" +
-         std::to_string(mix.contains_pct);
-}
-
-std::string range_key(std::uint64_t range) {
-  return "r" + std::to_string(range);
-}
+namespace {
 
 Scale campaign_scale(const CampaignOptions& opts) {
   Scale sc = Scale::from_env();
@@ -67,13 +38,6 @@ Scale campaign_scale(const CampaignOptions& opts) {
   return sc;
 }
 
-namespace {
-
-/// "p50/p90/p99" tail column for a repetition summary (same unit as mean).
-std::string fmt_tail(const Summary& s) {
-  return fmt(s.p50, 1) + "/" + fmt(s.p90, 1) + "/" + fmt(s.p99, 1);
-}
-
 void stamp_scale(BenchReport& r, const Scale& sc, const CampaignOptions& o) {
   r.set_config("ops", std::to_string(sc.ops));
   r.set_config("max_range", std::to_string(sc.max_range));
@@ -81,7 +45,50 @@ void stamp_scale(BenchReport& r, const Scale& sc, const CampaignOptions& o) {
   r.set_config("teams", std::to_string(sc.teams));
   r.set_config("seed", std::to_string(sc.seed));
   r.set_config("quick", o.quick ? "1" : "0");
-  r.set_config("p_chunk", fmt(env_double("GFSL_P_CHUNK", 1.0), 2));
+  // The structure default; ablation_p_chunk sets its own value per row.
+  r.set_config("p_chunk", "1.00");
+}
+
+void print_scale_banner(const Scale& sc) {
+  std::printf(
+      "# scale: ops=%llu max_range=%llu reps=%llu teams=%llu "
+      "(env: GFSL_OPS, GFSL_MAX_RANGE, GFSL_REPS, GFSL_TEAMS; "
+      "paper scale: ops=10M, ranges to 100M, reps=10)\n",
+      static_cast<unsigned long long>(sc.ops),
+      static_cast<unsigned long long>(sc.max_range),
+      static_cast<unsigned long long>(sc.reps),
+      static_cast<unsigned long long>(sc.teams));
+}
+
+StructureSetup setup_from_scale(const Scale& sc, int team_size = 32) {
+  StructureSetup s;
+  s.team_size = team_size;
+  s.num_workers = static_cast<int>(sc.teams);
+  s.warmup_ops = std::min<std::uint64_t>(sc.ops / 4, 20'000);
+  return s;
+}
+
+/// Metric-name fragment "<tag><n>", e.g. "r10000".  Built by appending: gcc
+/// 12 misreads an inlined `"r" + std::to_string(n)` as an overlapping copy
+/// (-Wrestrict).
+std::string tagged(char tag, std::uint64_t n) {
+  std::string s(1, tag);
+  s += std::to_string(n);
+  return s;
+}
+
+/// Stable metric-name fragment for a mix ("mix_10_10_80") or range ("r10000").
+std::string mix_key(const Mix& mix) {
+  return "mix_" + std::to_string(mix.insert_pct) + "_" +
+         std::to_string(mix.delete_pct) + "_" +
+         std::to_string(mix.contains_pct);
+}
+
+std::string range_key(std::uint64_t range) { return tagged('r', range); }
+
+/// "p50/p90/p99" tail column for a repetition summary (same unit as mean).
+std::string fmt_tail(const Summary& s) {
+  return fmt(s.p50, 1) + "/" + fmt(s.p90, 1) + "/" + fmt(s.p99, 1);
 }
 
 void add_metric(BenchReport& r, std::string name, std::string unit,
@@ -95,24 +102,59 @@ void add_metric(BenchReport& r, std::string name, std::string unit,
   r.metrics.push_back(std::move(m));
 }
 
+/// A modeled-MOPS series: one sample per repetition.
+void add_mops(BenchReport& r, std::string name, const Repeated& rep,
+              bool gate = true) {
+  add_metric(r, std::move(name), "mops", Better::kHigher, gate, rep.samples);
+}
+
+/// Mean of per-rep samples, with the estimator the report uses.
+double mean_of(std::vector<double> samples) {
+  BenchMetric m;
+  m.samples = std::move(samples);
+  return m.mean();
+}
+
+/// "mean ±stddev" of per-rep samples.
+std::string fmt_samples(std::vector<double> samples) {
+  BenchMetric m;
+  m.samples = std::move(samples);
+  return fmt_mean_stddev(m.mean(), m.stddev(), 1);
+}
+
+/// Per-rep ratios num[r] / den[r] of two interleaved arms.
+std::vector<double> per_rep_ratio(const std::vector<double>& num,
+                                  const std::vector<double>& den) {
+  std::vector<double> out;
+  for (std::size_t r = 0; r < num.size(); ++r) out.push_back(num[r] / den[r]);
+  return out;
+}
+
+double l2_hit_ratio(const model::KernelRun& k) {
+  return k.mem.transactions ? static_cast<double>(k.mem.l2_hits) /
+                                  static_cast<double>(k.mem.transactions)
+                            : 0.0;
+}
+
 // ---------------------------------------------------------------------------
-// Figure 5.1 — GFSL-16 vs GFSL-32 vs M&C on [10,10,80].
+// Figure 5.1 — GFSL-16 vs GFSL-32 vs M&C on [10,10,80], plus the Chapter 7
+// extension: pairs of 16-lane teams sharing a warp under round-robin
+// lockstep (GFSL-16x2).  A spinning team yields at every iteration, so its
+// warp-mate (possibly the lock holder) always advances; the cost model
+// overlaps the pair's memory waits while keeping their issue serialized.
 
-BenchReport run_fig_5_1(const CampaignOptions& opts) {
-  const Scale sc = campaign_scale(opts);
-  BenchReport report;
-  report.campaign = "fig_5_1_chunk_size";
-  stamp_scale(report, sc, opts);
-
-  print_scale_banner(sc);
-  std::printf("# Figure 5.1: GFSL-16 vs GFSL-32 vs M&C, mix [10,10,80]\n");
+void run_fig_5_1(const Scale& sc, BenchReport& report,
+                 const CampaignOptions&) {
+  std::printf(
+      "# Figure 5.1: GFSL-16 vs GFSL-32 vs M&C, mix [10,10,80]; GFSL-16x2 = "
+      "two 16-lane teams per warp (Chapter 7 extension)\n");
   std::printf(
       "# paper @1M: GFSL-32 ~65.7, GFSL-16 within 28%% below, M&C ~21.3 "
-      "MOPS\n\n");
+      "MOPS; thesis conjecture: GFSL-16x2 beats GFSL-32\n\n");
 
   const int reps = static_cast<int>(sc.reps);
-  Table t({"range", "GFSL-16 MOPS", "GFSL-32 MOPS", "M&C MOPS",
-           "GFSL-32/GFSL-16"});
+  Table t({"range", "GFSL-16 MOPS", "GFSL-32 MOPS", "GFSL-16x2 MOPS",
+           "M&C MOPS", "GFSL-32/GFSL-16", "GFSL-16x2/GFSL-32"});
   for (const auto range : sweep_ranges(sc.max_range)) {
     auto wl = make_workload(kMix_10_10_80, range, sc.ops, sc.seed);
     auto s16 = setup_from_scale(sc, /*team_size=*/16);
@@ -120,34 +162,27 @@ BenchReport run_fig_5_1(const CampaignOptions& opts) {
     const auto g16 = repeat_gfsl(wl, s16, reps);
     const auto g32 = repeat_gfsl(wl, s32, reps);
     const auto mc = repeat_mc(wl, s32, reps);
+    const auto dual = repeat_gfsl_dual(wl, s16, reps);
     t.add_row({fmt_range(range), fmt_ci(g16.mops.mean, g16.mops.ci95_half),
                fmt_ci(g32.mops.mean, g32.mops.ci95_half),
+               fmt_ci(dual.mops.mean, dual.mops.ci95_half),
                mc.oom ? "OOM" : fmt_ci(mc.mops.mean, mc.mops.ci95_half),
-               fmt(g32.mops.mean / g16.mops.mean, 2)});
+               fmt(g32.mops.mean / g16.mops.mean, 2),
+               fmt(dual.mops.mean / g32.mops.mean, 2)});
     const std::string rk = range_key(range);
-    add_metric(report, "gfsl16_mops." + rk, "mops", Better::kHigher, true,
-               g16.samples);
-    add_metric(report, "gfsl32_mops." + rk, "mops", Better::kHigher, true,
-               g32.samples);
-    if (!mc.oom) {
-      add_metric(report, "mc_mops." + rk, "mops", Better::kHigher, true,
-                 mc.samples);
-    }
+    add_mops(report, "gfsl16_mops." + rk, g16);
+    add_mops(report, "gfsl32_mops." + rk, g32);
+    if (!mc.oom) add_mops(report, "mc_mops." + rk, mc);
+    add_mops(report, "gfsl16x2_mops." + rk, dual, /*gate=*/false);
   }
   t.print(std::cout);
-  return report;
 }
 
 // ---------------------------------------------------------------------------
 // Figure 5.2 — GFSL / M&C ratio per mix per range.
 
-BenchReport run_fig_5_2(const CampaignOptions& opts) {
-  const Scale sc = campaign_scale(opts);
-  BenchReport report;
-  report.campaign = "fig_5_2_ratio";
-  stamp_scale(report, sc, opts);
-
-  print_scale_banner(sc);
+void run_fig_5_2(const Scale& sc, BenchReport& report,
+                 const CampaignOptions&) {
   std::printf("# Figure 5.2: GFSL / M&C throughput ratio per key range\n");
   std::printf("# paper: 0.54-0.85 @10K, ~1 @30K, 1.27-10.64 above\n\n");
 
@@ -180,19 +215,13 @@ BenchReport run_fig_5_2(const CampaignOptions& opts) {
     t.add_row(std::move(row));
   }
   t.print(std::cout);
-  return report;
 }
 
 // ---------------------------------------------------------------------------
 // Figure 5.3 — throughput vs key range per mixed-op distribution.
 
-BenchReport run_fig_5_3(const CampaignOptions& opts) {
-  const Scale sc = campaign_scale(opts);
-  BenchReport report;
-  report.campaign = "fig_5_3_mixed_ops";
-  stamp_scale(report, sc, opts);
-
-  print_scale_banner(sc);
+void run_fig_5_3(const Scale& sc, BenchReport& report,
+                 const CampaignOptions&) {
   std::printf(
       "# Figure 5.3: throughput vs key range, per mix (MOPS, mean ±95%% "
       "CI)\n\n");
@@ -213,32 +242,22 @@ BenchReport run_fig_5_3(const CampaignOptions& opts) {
       // One extra instrumented run for the diagnostic columns.
       const auto gd = measure_gfsl(wl, setup);
       const auto md = measure_mc(wl, setup);
-      const auto hit = [](const model::KernelRun& k) {
-        return k.mem.transactions
-                   ? static_cast<double>(k.mem.l2_hits) /
-                         static_cast<double>(k.mem.transactions)
-                   : 0.0;
-      };
       const double spins = static_cast<double>(gd.kernel.lock_spins) /
                            static_cast<double>(gd.kernel.ops);
       t.add_row({fmt_range(range), fmt_ci(g.mops.mean, g.mops.ci95_half),
                  fmt_tail(g.mops),
                  m.oom ? "OOM" : fmt_ci(m.mops.mean, m.mops.ci95_half),
-                 fmt(spins, 3), fmt_pct(hit(gd.kernel)),
-                 fmt_pct(hit(md.kernel))});
+                 fmt(spins, 3), fmt_pct(l2_hit_ratio(gd.kernel)),
+                 fmt_pct(l2_hit_ratio(md.kernel))});
       const std::string key = mix_key(mix) + "." + range_key(range);
-      add_metric(report, "gfsl_mops." + key, "mops", Better::kHigher, true,
-                 g.samples);
-      if (!m.oom) {
-        add_metric(report, "mc_mops." + key, "mops", Better::kHigher, true,
-                   m.samples);
-      }
+      add_mops(report, "gfsl_mops." + key, g);
+      if (!m.oom) add_mops(report, "mc_mops." + key, m);
       add_metric(report, "gfsl_spins_per_op." + key, "spins", Better::kLower,
                  false, {spins});
       add_metric(report, "gfsl_chunks_per_trav." + key, "chunks",
                  Better::kLower, false, {gd.avg_chunks_per_traversal});
       add_metric(report, "gfsl_l2_hit." + key, "fraction", Better::kHigher,
-                 false, {hit(gd.kernel)});
+                 false, {l2_hit_ratio(gd.kernel)});
     }
     t.print(std::cout);
     std::printf("\n");
@@ -246,19 +265,13 @@ BenchReport run_fig_5_3(const CampaignOptions& opts) {
   std::printf(
       "paper anchors @[10,10,80]: GFSL ~65.7 MOPS and M&C ~21.3 MOPS at 1M; "
       "GFSL loses up to 46%% at 10K with few updates.\n");
-  return report;
 }
 
 // ---------------------------------------------------------------------------
 // Figure 5.4 — single-op-type throughput vs key range.
 
-BenchReport run_fig_5_4(const CampaignOptions& opts) {
-  const Scale sc = campaign_scale(opts);
-  BenchReport report;
-  report.campaign = "fig_5_4_single_op";
-  stamp_scale(report, sc, opts);
-
-  print_scale_banner(sc);
+void run_fig_5_4(const Scale& sc, BenchReport& report,
+                 const CampaignOptions&) {
   std::printf("# Figure 5.4: single-op-type throughput vs key range\n\n");
 
   struct Panel {
@@ -297,29 +310,159 @@ BenchReport run_fig_5_4(const CampaignOptions& opts) {
                  m.oom ? "OOM" : fmt_ci(m.mops.mean, m.mops.ci95_half),
                  m.oom ? "-" : fmt(g.mops.mean / m.mops.mean, 2) + "x"});
       const std::string key = std::string(p.key) + "." + range_key(range);
-      add_metric(report, "gfsl_mops." + key, "mops", Better::kHigher, true,
-                 g.samples);
-      if (!m.oom) {
-        add_metric(report, "mc_mops." + key, "mops", Better::kHigher, true,
-                   m.samples);
-      }
+      add_mops(report, "gfsl_mops." + key, g);
+      if (!m.oom) add_mops(report, "mc_mops." + key, m);
     }
     t.print(std::cout);
     std::printf("\n");
   }
-  return report;
+}
+
+// ---------------------------------------------------------------------------
+// Tables 5.1/5.2 — effect of limiting the warps launched per block, for
+// GFSL-32 and M&C on [10,10,80] at the 1M key range.  One measured run per
+// kernel; the launch configuration only changes the model side: occupancy,
+// registers, active blocks and spill come from the occupancy calculator and
+// the measured events go through the cost model under each configuration.
+
+struct WarpsRow {
+  int warps;
+  double occ, theo;
+  int regs, blocks;
+  double spill, mops;
+};
+
+struct WarpsTable {
+  const char* title;
+  const char* key;  // metric-name prefix
+  model::KernelResources kernel;
+  Measurement (*measure)(const WorkloadConfig&, const StructureSetup&);
+  WarpsRow paper[4];
+  const char* paper_summary;
+};
+
+void run_table_5_warps(const Scale& sc, BenchReport& report,
+                       const CampaignOptions&) {
+  const WarpsTable tables[] = {
+      {"Table 5.1: GFSL-32",
+       "gfsl32",
+       model::kGfslKernel,
+       measure_gfsl,
+       {{8, 0.367, 0.375, 79, 3, 0.00, 58.9},
+        {16, 0.488, 0.500, 64, 2, 0.10, 65.7},
+        {24, 0.730, 0.750, 40, 2, 0.43, 62.5},
+        {32, 0.958, 1.000, 32, 2, 0.53, 52.9}},
+       "paper: peak at 16 warps/block, 65.7 MOPS"},
+      // M&C is memory-dependence bound: throughput "varies very little,
+      // regardless of the number of warps launched", and its thread-local
+      // path arrays keep spill at ~23-25% everywhere.
+      {"Table 5.2: M&C",
+       "mc",
+       model::kMcKernel,
+       measure_mc,
+       {{8, 0.529, 0.625, 42, 5, 0.25, 20.7},
+        {16, 0.416, 0.500, 42, 2, 0.23, 21.3},
+        {24, 0.590, 0.750, 40, 2, 0.23, 20.6},
+        {32, 0.794, 1.000, 32, 2, 0.24, 20.2}},
+       "paper: ~5% spread, flat"},
+  };
+  const std::uint64_t range = std::min<std::uint64_t>(1'000'000, sc.max_range);
+  const auto wl = make_workload(kMix_10_10_80, range, sc.ops, sc.seed);
+  const model::Occupancy occ_calc;
+  const model::CostModel cm;
+
+  for (const auto& wt : tables) {
+    std::printf("## %s, mix [10,10,80], range %s\n", wt.title,
+                fmt_range(range).c_str());
+    const auto measured = wt.measure(wl, setup_from_scale(sc));
+    Table t({"warps/block", "occup/theor", "paper", "regs", "paper", "blocks",
+             "paper", "spill", "paper", "MOPS(model)", "paper"});
+    double lo = 1e30, hi = 0.0;
+    int best_warps = 0;
+    for (const auto& p : wt.paper) {
+      const auto o = occ_calc.compute(wt.kernel, p.warps);
+      const auto r = cm.throughput(measured.kernel, o);
+      if (r.mops > hi) {
+        hi = r.mops;
+        best_warps = p.warps;
+      }
+      lo = std::min(lo, r.mops);
+      t.add_row({std::to_string(p.warps),
+                 fmt_pct(o.achieved_occupancy) + "/" +
+                     fmt_pct(o.theoretical_occupancy),
+                 fmt_pct(p.occ) + "/" + fmt_pct(p.theo),
+                 std::to_string(o.registers_per_thread), std::to_string(p.regs),
+                 std::to_string(o.active_blocks), std::to_string(p.blocks),
+                 fmt_pct(o.spill_fraction, 0), fmt_pct(p.spill, 0),
+                 fmt(r.mops), fmt(p.mops)});
+      add_metric(report,
+                 std::string(wt.key) + "_mops.w" + std::to_string(p.warps),
+                 "mops", Better::kHigher, false, {r.mops});
+    }
+    t.print(std::cout);
+    std::printf(
+        "modeled: best at %d warps/block, %.1f%% spread across configs "
+        "(%s)\n\n",
+        best_warps, hi > 0 ? (hi - lo) / hi * 100.0 : 0.0, wt.paper_summary);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// §5.2 ablation — the effect of p_chunk on GFSL-32.  The thesis: "using
+// p_chunk ≈ 1 in GFSL gave the best results in all operation mixtures ...
+// Lowering p_chunk causes more lateral steps to be taken, while not having a
+// significant impact on structure height."  p_chunk applies to the prefill
+// (bulk_load raises each chunk's first key with that probability) and to
+// every split of the measured run.
+
+void run_ablation_p_chunk(const Scale& sc, BenchReport& report,
+                          const CampaignOptions&) {
+  const std::uint64_t range = std::min<std::uint64_t>(1'000'000, sc.max_range);
+  std::printf("# p_chunk ablation: GFSL-32, mix [10,10,80], range %s\n",
+              fmt_range(range).c_str());
+  std::printf(
+      "# paper: best at p_chunk ~ 1; traversal reads height+1..height+2\n\n");
+
+  Table t({"p_chunk", "MOPS(model)", "height", "chunks/traversal",
+           "warp reads/op", "L2 hit"});
+  const auto wl = make_workload(kMix_10_10_80, range, sc.ops, sc.seed);
+  double best_mops = 0.0;
+  double best_p = 0.0;
+  for (const int pct : {20, 40, 60, 80, 100}) {
+    const double p = pct / 100.0;
+    auto setup = setup_from_scale(sc);
+    setup.p_chunk = p;
+    obs::MetricsRegistry reg(setup.num_workers);
+    setup.metrics = &reg;
+    const auto m = measure_gfsl(wl, setup);
+    if (m.model_mops > best_mops) {
+      best_mops = m.model_mops;
+      best_p = p;
+    }
+    const double height = reg.gauge(obs::kHeight);
+    const double reads_per_op =
+        static_cast<double>(m.kernel.mem.warp_reads) /
+        static_cast<double>(m.kernel.ops ? m.kernel.ops : 1);
+    t.add_row({fmt(p, 1), fmt(m.model_mops), fmt(height, 0),
+               fmt(m.avg_chunks_per_traversal, 2), fmt(reads_per_op, 2),
+               fmt_pct(l2_hit_ratio(m.kernel))});
+    const std::string pk = tagged('p', static_cast<std::uint64_t>(pct));
+    add_metric(report, "model_mops." + pk, "mops", Better::kHigher, false,
+               {m.model_mops});
+    add_metric(report, "height." + pk, "levels", Better::kNone, false,
+               {height});
+    add_metric(report, "chunks_per_trav." + pk, "chunks", Better::kLower,
+               false, {m.avg_chunks_per_traversal});
+  }
+  t.print(std::cout);
+  std::printf("\nbest p_chunk (modeled): %.1f (paper: ~1.0)\n", best_p);
 }
 
 // ---------------------------------------------------------------------------
 // Batch throughput — kernel-style batched dispatch vs per-op dispatch.
 
-BenchReport run_batch_throughput(const CampaignOptions& opts) {
-  const Scale sc = campaign_scale(opts);
-  BenchReport report;
-  report.campaign = "batch_throughput";
-  stamp_scale(report, sc, opts);
-
-  print_scale_banner(sc);
+void run_batch_throughput(const Scale& sc, BenchReport& report,
+                          const CampaignOptions&) {
   std::printf(
       "# Batched vs per-op dispatch (MOPS, mean of %llu reps), mix "
       "20/20/60\n\n",
@@ -345,8 +488,7 @@ BenchReport run_batch_throughput(const CampaignOptions& opts) {
     t.add_row({"per-op", fmt_ci(base.mops.mean, base.mops.ci95_half),
                fmt(based.sim_mops), "1.00x", "-",
                fmt(based.avg_chunks_per_traversal, 2), "-"});
-    add_metric(report, "per_op_mops." + rk, "mops", Better::kHigher, true,
-               base.samples);
+    add_mops(report, "per_op_mops." + rk, base);
     add_metric(report, "per_op_chunks_per_trav." + rk, "chunks",
                Better::kLower, true, {based.avg_chunks_per_traversal});
 
@@ -367,9 +509,8 @@ BenchReport run_batch_throughput(const CampaignOptions& opts) {
                  fmt(static_cast<double>(bd.batch.steals) /
                          static_cast<double>(num_batches),
                      1)});
-      const std::string key = "b" + std::to_string(bs) + "." + rk;
-      add_metric(report, "batch_mops." + key, "mops", Better::kHigher, true,
-                 b.samples);
+      const std::string key = tagged('b', bs) + "." + rk;
+      add_mops(report, "batch_mops." + key, b);
       add_metric(report, "batch_speedup." + key, "x", Better::kHigher, false,
                  {b.mops.mean / base.mops.mean});
       add_metric(report, "batch_reuse_pct." + key, "fraction", Better::kHigher,
@@ -383,7 +524,6 @@ BenchReport run_batch_throughput(const CampaignOptions& opts) {
   std::printf(
       "acceptance: batched >= 1.3x per-op modeled throughput at batch >= "
       "1024, 1M key range.\n");
-  return report;
 }
 
 // ---------------------------------------------------------------------------
@@ -403,7 +543,6 @@ struct ChurnOutcome {
   std::uint64_t slices_survived = 0;
   std::uint64_t final_in_use = 0;
   std::uint64_t final_limbo = 0;
-  std::uint64_t final_free = 0;
   std::uint64_t reclaimed = 0;
   double host_kops = 0.0;  // mean over completed slices
 };
@@ -433,7 +572,6 @@ ChurnOutcome run_churn(const ChurnParams& p, const Attach& attach, Table* t) {
     out.slices_survived = s + 1;
     out.final_in_use = sl.chunks_allocated();
     out.final_limbo = epochs != nullptr ? epochs->limbo_total() : 0;
-    out.final_free = sl.arena().free_count();
     out.reclaimed = sl.chunks_reclaimed();
     if (oom != 0) break;  // leaking mode: no point continuing
   }
@@ -443,13 +581,8 @@ ChurnOutcome run_churn(const ChurnParams& p, const Attach& attach, Table* t) {
   return out;
 }
 
-BenchReport run_steady_state_churn(const CampaignOptions& opts) {
-  const Scale sc = campaign_scale(opts);
-  BenchReport report;
-  report.campaign = "steady_state_churn";
-  stamp_scale(report, sc, opts);
-
-  print_scale_banner(sc);
+void run_steady_state_churn(const Scale& sc, BenchReport& report,
+                            const CampaignOptions&) {
   ChurnParams p;
   p.seed = sc.seed == 0x5EEDF ? p.seed : sc.seed;
   // GFSL_OPS scales total churn volume; keep >= 10x pool capacity per mode.
@@ -500,7 +633,6 @@ BenchReport run_steady_state_churn(const CampaignOptions& opts) {
              std::move(ebr_kops));
   add_metric(report, "leak_slices_survived", "slices", Better::kNone, false,
              std::move(leak_slices));
-  return report;
 }
 
 // ---------------------------------------------------------------------------
@@ -528,8 +660,6 @@ struct AttachMode {
 };
 
 struct OverheadCampaign {
-  std::string name;
-  std::string description;
   std::string note;        // banner detail after "(R reps x I iters; "
   std::string acceptance;  // closing line; empty = none
   std::vector<AttachMode> modes;  // modes[0] is the ratio base
@@ -605,24 +735,19 @@ double scrub_ns_per_chunk(const std::string& region_path) {
   return rep.chunks_scanned == 0 ? 0.0 : ns_since(t0, rep.chunks_scanned);
 }
 
-BenchReport run_overhead(const OverheadCampaign& oc,
-                         const CampaignOptions& opts) {
-  const Scale sc = campaign_scale(opts);
-  BenchReport report;
-  report.campaign = oc.name;
-  stamp_scale(report, sc, opts);
-
+void run_overhead(const OverheadCampaign& oc, const Scale& sc,
+                  BenchReport& report, const CampaignOptions& opts) {
   const std::uint64_t iters = opts.quick ? 20'000 : 50'000;
   const int reps = static_cast<int>(sc.reps);
   report.set_config("iters", std::to_string(iters));
   // Unique per process: a concurrent run must not truncate this mapping.
   const std::string region_path =
       (std::filesystem::temp_directory_path() /
-       ("gfsl_" + oc.name + "." + std::to_string(::getpid()) + ".region"))
+       ("gfsl_" + report.campaign + "." + std::to_string(::getpid()) +
+        ".region"))
           .string();
 
-  std::printf("# %s: %s\n# (%d reps x %llu iters; %s)\n\n", oc.name.c_str(),
-              oc.description.c_str(), reps,
+  std::printf("# (%d reps x %llu iters; %s)\n\n", reps,
               static_cast<unsigned long long>(iters), oc.note.c_str());
 
   const std::size_t n = oc.modes.size();
@@ -634,38 +759,25 @@ BenchReport run_overhead(const OverheadCampaign& oc,
     }
   }
 
-  const auto per_rep_ratio = [](const std::vector<double>& num,
-                                const std::vector<double>& den) {
-    BenchMetric m;
-    for (std::size_t r = 0; r < num.size(); ++r) {
-      m.samples.push_back(num[r] / den[r]);
-    }
-    return m;
-  };
-  const auto mean_stddev = [](const std::vector<double>& samples) {
-    BenchMetric m;
-    m.samples = samples;
-    return fmt_mean_stddev(m.mean(), m.stddev(), 1);
-  };
   Table t({"loop", "mode", "ns/op (mean ±stddev)",
            "vs " + oc.modes.front().key});
   for (std::size_t mi = 0; mi < n; ++mi) {
     const std::string& mk = oc.modes[mi].key;
-    BenchMetric rc = per_rep_ratio(ns_c[mi], ns_c[0]);
-    BenchMetric rie = per_rep_ratio(ns_ie[mi], ns_ie[0]);
-    t.add_row({"contains", mk, mean_stddev(ns_c[mi]),
-               fmt(rc.mean(), 2) + "x"});
-    t.add_row({"insert_erase", mk, mean_stddev(ns_ie[mi]),
-               fmt(rie.mean(), 2) + "x"});
+    std::vector<double> rc = per_rep_ratio(ns_c[mi], ns_c[0]);
+    std::vector<double> rie = per_rep_ratio(ns_ie[mi], ns_ie[0]);
+    t.add_row({"contains", mk, fmt_samples(ns_c[mi]),
+               fmt(mean_of(rc), 2) + "x"});
+    t.add_row({"insert_erase", mk, fmt_samples(ns_ie[mi]),
+               fmt(mean_of(rie), 2) + "x"});
     add_metric(report, "contains_ns." + mk, "ns", Better::kLower, false,
                ns_c[mi]);
     add_metric(report, "insert_erase_ns." + mk, "ns", Better::kLower, false,
                ns_ie[mi]);
     if (oc.gate_ratios && mi > 0) {
       add_metric(report, "contains_ratio." + mk, "x", Better::kLower, true,
-                 std::move(rc.samples));
+                 std::move(rc));
       add_metric(report, "insert_erase_ratio." + mk, "x", Better::kLower, true,
-                 std::move(rie.samples));
+                 std::move(rie));
     }
   }
   if (oc.time_scrub) {
@@ -673,7 +785,7 @@ BenchReport run_overhead(const OverheadCampaign& oc,
     for (int r = 0; r < reps; ++r) {
       ns_scrub.push_back(scrub_ns_per_chunk(region_path));
     }
-    t.add_row({"scrub_pass", "crc32c", mean_stddev(ns_scrub) + " /chunk",
+    t.add_row({"scrub_pass", "crc32c", fmt_samples(ns_scrub) + " /chunk",
                "-"});
     add_metric(report, "scrub_ns_per_chunk.crc32c", "ns", Better::kLower,
                false, std::move(ns_scrub));
@@ -684,16 +796,14 @@ BenchReport run_overhead(const OverheadCampaign& oc,
   }
   std::error_code ec;
   std::filesystem::remove(region_path, ec);
-  return report;
 }
 
-Campaign overhead_campaign(OverheadCampaign oc) {
-  std::string name = oc.name;
-  std::string description = oc.description;
-  return {std::move(name), std::move(description),
-          [oc = std::move(oc)](const CampaignOptions& opts) {
-            return run_overhead(oc, opts);
-          }};
+/// A registry entry's body for one attach-mode overhead campaign.
+auto overhead(OverheadCampaign oc) {
+  return [oc = std::move(oc)](const Scale& sc, BenchReport& report,
+                              const CampaignOptions& opts) {
+    run_overhead(oc, sc, report, opts);
+  };
 }
 
 // ---------------------------------------------------------------------------
@@ -787,12 +897,8 @@ ScanMixedOutcome run_scan_mixed_once(const ScanMixedParams& p, bool mvcc) {
   return out;
 }
 
-BenchReport run_scan_mixed(const CampaignOptions& opts) {
-  const Scale sc = campaign_scale(opts);
-  BenchReport report;
-  report.campaign = "scan_mixed";
-  stamp_scale(report, sc, opts);
-
+void run_scan_mixed(const Scale& sc, BenchReport& report,
+                    const CampaignOptions&) {
   ScanMixedParams p;
   p.workers = static_cast<int>(sc.teams);
   p.ops = sc.ops;
@@ -827,24 +933,11 @@ BenchReport run_scan_mixed(const CampaignOptions& opts) {
            "keys/scan", "expired"});
   for (int mi = 0; mi < 2; ++mi) {
     const std::string mk = mi == 0 ? "detached" : "mvcc";
-    BenchMetric m;
-    m.samples = kops[mi];
-    BenchMetric s;
-    s.samples = scans[mi];
-    BenchMetric k;
-    k.samples = kps[mi];
-    std::vector<double> ratio;
-    for (int r = 0; r < reps; ++r) {
-      ratio.push_back(kops[0][static_cast<std::size_t>(r)] /
-                      kops[mi][static_cast<std::size_t>(r)]);
-    }
-    BenchMetric rm;
-    rm.samples = ratio;
-    BenchMetric ex;
-    ex.samples = expired[mi];
-    t.add_row({mk, fmt_mean_stddev(m.mean(), m.stddev(), 1),
-               mi == 0 ? "1.00x" : fmt(rm.mean(), 2) + "x", fmt(s.mean(), 1),
-               fmt(k.mean(), 1), fmt(ex.mean(), 1)});
+    std::vector<double> ratio = per_rep_ratio(kops[0], kops[mi]);
+    t.add_row({mk, fmt_samples(kops[mi]),
+               mi == 0 ? "1.00x" : fmt(mean_of(ratio), 2) + "x",
+               fmt(mean_of(scans[mi]), 1), fmt(mean_of(kps[mi]), 1),
+               fmt(mean_of(expired[mi]), 1)});
     add_metric(report, "mutator_kops." + mk, "kops", Better::kHigher, true,
                kops[mi]);
     add_metric(report, "scans." + mk, "scans", Better::kHigher, false,
@@ -863,19 +956,13 @@ BenchReport run_scan_mixed(const CampaignOptions& opts) {
       "\nacceptance: the mvcc mutator slowdown stays a small constant factor "
       "(record stamping + a pinned watermark, no stop-the-world), and "
       "scan_at keeps completing full-range cuts under churn (expired ~ 0).\n");
-  return report;
 }
 
 // ---------------------------------------------------------------------------
 // Foresight point ops — hinted descent A/B (DESIGN.md §14).
 
-BenchReport run_foresight_pointops(const CampaignOptions& opts) {
-  const Scale sc = campaign_scale(opts);
-  BenchReport report;
-  report.campaign = "foresight_pointops";
-  stamp_scale(report, sc, opts);
-
-  print_scale_banner(sc);
+void run_foresight_pointops(const Scale& sc, BenchReport& report,
+                            const CampaignOptions&) {
   std::printf(
       "# Foresight hint table A/B: classic head descent (detached) vs hinted "
       "bottom-chunk jump (foresight), per-op dispatch\n"
@@ -907,8 +994,7 @@ BenchReport run_foresight_pointops(const CampaignOptions& opts) {
       t.add_row({"detached", fmt_ci(base.mops.mean, base.mops.ci95_half),
                  "1.00x", fmt(based.avg_chunks_per_traversal, 2), "-", "-",
                  "-"});
-      add_metric(report, "detached_mops." + key, "mops", Better::kHigher, true,
-                 base.samples);
+      add_mops(report, "detached_mops." + key, base);
       add_metric(report, "detached_chunks_per_trav." + key, "chunks",
                  Better::kLower, true, {based.avg_chunks_per_traversal});
 
@@ -933,8 +1019,7 @@ BenchReport run_foresight_pointops(const CampaignOptions& opts) {
                  fmt(fs.mops.mean / base.mops.mean, 2) + "x",
                  fmt(fsd.avg_chunks_per_traversal, 2), fmt_pct(hit_rate),
                  fmt_pct(stale_rate), fmt(rebuilds, 0)});
-      add_metric(report, "foresight_mops." + key, "mops", Better::kHigher,
-                 true, fs.samples);
+      add_mops(report, "foresight_mops." + key, fs);
       add_metric(report, "foresight_speedup." + key, "x", Better::kHigher,
                  false, {fs.mops.mean / base.mops.mean});
       add_metric(report, "foresight_chunks_per_trav." + key, "chunks",
@@ -951,68 +1036,70 @@ BenchReport run_foresight_pointops(const CampaignOptions& opts) {
       "acceptance: foresight >= detached on every mix; hinted point lookups "
       "average <= 2 chunks/traversal at 1M+ keys with a high hit rate; stale "
       "hints cost a fallback, never a wrong result.\n");
-  return report;
 }
 
 }  // namespace
 
 const std::vector<Campaign>& campaigns() {
   static const std::vector<Campaign> kCampaigns = {
-      {"fig_5_1_chunk_size", "GFSL-16 vs GFSL-32 vs M&C, mix [10,10,80]",
-       run_fig_5_1},
+      {"fig_5_1_chunk_size",
+       "GFSL-16 vs GFSL-32 vs GFSL-16x2 vs M&C, mix [10,10,80]", run_fig_5_1},
       {"fig_5_2_ratio", "GFSL / M&C throughput ratio per mix and key range",
        run_fig_5_2},
       {"fig_5_3_mixed_ops", "throughput vs key range per mixed-op mix",
        run_fig_5_3},
       {"fig_5_4_single_op",
        "contains-/insert-/delete-only throughput vs key range", run_fig_5_4},
+      {"table_5_warps",
+       "GFSL-32 and M&C occupancy and modeled MOPS vs warps per block",
+       run_table_5_warps},
+      {"ablation_p_chunk", "GFSL-32 modeled MOPS and traversal cost vs p_chunk",
+       run_ablation_p_chunk},
       {"batch_throughput", "batched vs per-op dispatch A/B",
        run_batch_throughput},
       {"steady_state_churn", "epoch-reclamation memory soak (leak vs ebr)",
        run_steady_state_churn},
       // Observability layers; nothing gates (the flight recorder must stay
       // within noise of detached, checked by eye).
-      overhead_campaign(
-          {"micro_ops",
-           "host ns/op with observability layers detached vs armed",
-           "armed-but-idle flight recorder must stay within noise of "
-           "detached",
-           "",
-           {{"detached"},
-            {"metrics", kArmMetrics},
-            {"flight_recorder", kArmFlightRecorder}},
-           /*gate_ratios=*/false,
-           /*time_scrub=*/false}),
+      {"micro_ops", "host ns/op with observability layers detached vs armed",
+       overhead({"armed-but-idle flight recorder must stay within noise of "
+                 "detached",
+                 "",
+                 {{"detached"},
+                  {"metrics", kArmMetrics},
+                  {"flight_recorder", kArmFlightRecorder}},
+                 /*gate_ratios=*/false,
+                 /*time_scrub=*/false})},
       // The durability ladder: detached (persist_point() is one pointer
       // test), lease words only, file-backed region + persist barriers.
-      overhead_campaign(
-          {"persist_overhead",
-           "host ns/op with the durable region detached / leased / armed",
-           "gated on the armed/detached and leased/detached ratios, which "
-           "cancel machine speed",
-           "the fault-free detached path pays nothing (persist_point() is a "
-           "single pointer test); the armed ratio is the price of durability "
-           "and must not creep.",
-           {{"detached"},
-            {"leased", 0, Attach{.leases = true}},
-            {"armed", 0, Attach{.persist = Attach::Persist{}}}},
-           /*gate_ratios=*/true,
-           /*time_scrub=*/false}),
+      {"persist_overhead",
+       "host ns/op with the durable region detached / leased / armed",
+       overhead({"gated on the armed/detached and leased/detached ratios, "
+                 "which cancel machine speed",
+                 "the fault-free detached path pays nothing (persist_point() "
+                 "is a single pointer test); the armed ratio is the price of "
+                 "durability and must not creep.",
+                 {{"detached"},
+                  {"leased", 0, Attach{.leases = true}},
+                  {"armed", 0, Attach{.persist = Attach::Persist{}}}},
+                 /*gate_ratios=*/true,
+                 /*time_scrub=*/false})},
       // Seals restamped at every lock release and verified on the checked-
       // read cold path (DESIGN.md §15), plus the scrub patrol's cost.
-      overhead_campaign(
-          {"integrity_overhead",
-           "host ns/op with the integrity sidecar detached / crc32c / xorfold",
-           "gated on the per-rep armed/detached ratios, which cancel machine "
-           "speed",
-           "the detached path pays nothing (every seal call starts with one "
-           "null test); the armed ratios are the price of tamper-evident "
-           "chunks and must not creep.",
-           {{"detached"},
-            {"crc32c", 0, Attach{.integrity = Attach::Integrity::kCrc32c}},
-            {"xorfold", 0, Attach{.integrity = Attach::Integrity::kXorFold}}},
-           /*gate_ratios=*/true,
-           /*time_scrub=*/true}),
+      {"integrity_overhead",
+       "host ns/op with the integrity sidecar detached / crc32c / xorfold",
+       overhead({"gated on the per-rep armed/detached ratios, which cancel "
+                 "machine speed",
+                 "the detached path pays nothing (every seal call starts with "
+                 "one null test); the armed ratios are the price of "
+                 "tamper-evident chunks and must not creep.",
+                 {{"detached"},
+                  {"crc32c", 0,
+                   Attach{.integrity = Attach::Integrity::kCrc32c}},
+                  {"xorfold", 0,
+                   Attach{.integrity = Attach::Integrity::kXorFold}}},
+                 /*gate_ratios=*/true,
+                 /*time_scrub=*/true})},
       {"scan_mixed",
        "mutator mix vs a full-range scanner, legacy scan / mvcc scan_at A/B",
        run_scan_mixed},
@@ -1031,7 +1118,12 @@ const Campaign* find_campaign(const std::string& name) {
 }
 
 BenchReport run_campaign(const Campaign& c, const CampaignOptions& opts) {
-  BenchReport report = c.run(opts);
+  const Scale sc = campaign_scale(opts);
+  BenchReport report;
+  report.campaign = c.name;
+  stamp_scale(report, sc, opts);
+  print_scale_banner(sc);
+  c.run(sc, report, opts);
   report.stamp_environment();
   if (!opts.out_dir.empty()) {
     std::error_code ec;

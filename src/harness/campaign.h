@@ -1,7 +1,8 @@
 // Canonical benchmark campaigns behind the unified `bench_runner` tool.
 //
-// A campaign bundles one experiment family (a thesis figure sweep, the batch
-// A/B, the churn soak, an attach-mode overhead A/B): it prints the
+// A campaign bundles one experiment family (a thesis figure or table sweep,
+// the p_chunk ablation, the batch A/B, the churn soak, an attach-mode
+// overhead A/B): it prints the
 // human-readable tables AND returns a BenchReport (gfsl-bench-v1) carrying
 // every measured series with its per-repetition samples, so one run feeds
 // eyeballs, dashboards and the bench_compare regression gate alike.
@@ -9,15 +10,12 @@
 // GFSL_MAX_RANGE, GFSL_REPS, GFSL_TEAMS), `--quick` at the fixed CI scale.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "common/env.h"
 #include "harness/bench_schema.h"
-#include "harness/experiment.h"
-#include "harness/workload.h"
 
 namespace gfsl::harness {
 
@@ -33,30 +31,19 @@ struct CampaignOptions {
 struct Campaign {
   std::string name;
   std::string description;
-  std::function<BenchReport(const CampaignOptions&)> run;
+  /// The campaign's sweep.  run_campaign hands it the resolved scale and a
+  /// report already named after the campaign and stamped with that scale;
+  /// the body prints its tables and appends its series.
+  std::function<void(const Scale&, BenchReport&, const CampaignOptions&)> run;
 };
 
 /// All registered campaigns, in canonical order.
 const std::vector<Campaign>& campaigns();
 const Campaign* find_campaign(const std::string& name);
 
-/// Resolve the experiment scale for `opts` (env scale, or the fixed quick
-/// scale) and apply the reps override.
-Scale campaign_scale(const CampaignOptions& opts);
-
-/// Run one campaign and, when opts.out_dir is set, write
+/// Run one campaign at the scale `opts` selects (env scale, or the fixed
+/// quick scale, then the reps override) and, when opts.out_dir is set, write
 /// `<out_dir>/BENCH_<name>.json`.  Returns the report.
 BenchReport run_campaign(const Campaign& c, const CampaignOptions& opts);
-
-// Shared bench plumbing: the campaign implementations and the standalone
-// table/ablation binaries use one copy.
-
-StructureSetup setup_from_scale(const Scale& sc, int team_size = 32);
-
-void print_scale_banner(const Scale& sc);
-
-/// Stable metric-name fragment for a mix ("mix_10_10_80") or range ("r10000").
-std::string mix_key(const Mix& mix);
-std::string range_key(std::uint64_t range);
 
 }  // namespace gfsl::harness

@@ -1,6 +1,7 @@
 #include "harness/workload.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <numeric>
 #include <stdexcept>
 
@@ -9,8 +10,20 @@
 namespace gfsl::harness {
 
 std::string Mix::name() const {
-  return "[" + std::to_string(insert_pct) + "," + std::to_string(delete_pct) +
-         "," + std::to_string(contains_pct) + "]";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "[%d,%d,%d]", insert_pct, delete_pct,
+                contains_pct);
+  return buf;
+}
+
+Mix parse_mix(const std::string& s) {
+  Mix m{};
+  if (std::sscanf(s.c_str(), "%d,%d,%d", &m.insert_pct, &m.delete_pct,
+                  &m.contains_pct) != 3 ||
+      m.insert_pct + m.delete_pct + m.contains_pct != 100) {
+    throw std::invalid_argument("--mix must be i,d,c summing to 100");
+  }
+  return m;
 }
 
 Prefill default_prefill(const Mix& mix) {

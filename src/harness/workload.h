@@ -24,6 +24,10 @@ struct Mix {
   std::string name() const;
 };
 
+/// Parse a `--mix i,d,c` value: three percentages summing to 100.  Throws
+/// std::invalid_argument otherwise.
+Mix parse_mix(const std::string& s);
+
 /// The four mixed-op distributions of Figures 5.2/5.3 …
 inline constexpr Mix kMix_1_1_98{1, 1, 98};
 inline constexpr Mix kMix_5_5_90{5, 5, 90};

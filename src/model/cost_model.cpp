@@ -2,15 +2,7 @@
 
 #include <algorithm>
 
-#include "common/env.h"
-
 namespace gfsl::model {
-
-CostModel::CostModel(const GpuParams& gpu) : gpu_(gpu) {
-  // Calibration overrides for sensitivity experiments.
-  hiding_efficiency_ = env_double("GFSL_HIDING_EFF", hiding_efficiency_);
-  dram_efficiency_ = env_double("GFSL_DRAM_EFF", dram_efficiency_);
-}
 
 double CostModel::transfer_seconds(std::uint64_t ops,
                                    std::uint32_t bytes_per_op_in,

@@ -324,7 +324,7 @@ TEST(CampaignRegistry, NamesEqualCommittedBaselines) {
   }
   std::sort(registered.begin(), registered.end());
   std::sort(committed.begin(), committed.end());
-  EXPECT_EQ(registered.size(), 11u);
+  EXPECT_EQ(registered.size(), 13u);
   EXPECT_EQ(registered, committed);
 }
 
@@ -338,4 +338,12 @@ TEST(CampaignRegistry, PersistOverheadMatchesBaselineShape) {
 
 TEST(CampaignRegistry, IntegrityOverheadMatchesBaselineShape) {
   expect_report_matches_baseline("integrity_overhead");
+}
+
+TEST(CampaignRegistry, TableWarpsMatchesBaselineShape) {
+  expect_report_matches_baseline("table_5_warps");
+}
+
+TEST(CampaignRegistry, AblationPChunkMatchesBaselineShape) {
+  expect_report_matches_baseline("ablation_p_chunk");
 }

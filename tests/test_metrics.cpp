@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -17,6 +19,14 @@
 
 namespace gfsl::obs {
 namespace {
+
+/// `"name"`, the way a metric name appears as a key in the JSON report.
+std::string json_key(std::string_view name) {
+  std::string key(1, '"');
+  key.append(name);
+  key.push_back('"');
+  return key;
+}
 
 TEST(Histogram, BucketEdges) {
   // bucket b holds [2^(b-1), 2^b); value 0 is its own bucket.
@@ -257,13 +267,11 @@ TEST(MetricsRegistry, JsonReportHasSchemaAndAllSections) {
   // Every declared metric name appears.
   for (int i = 0; i < kCounterIdCount; ++i) {
     const auto name = counter_name(static_cast<CounterId>(i));
-    EXPECT_NE(j.find("\"" + std::string(name) + "\""), std::string::npos)
-        << name;
+    EXPECT_NE(j.find(json_key(name)), std::string::npos) << name;
   }
   for (int i = 0; i < kGaugeIdCount; ++i) {
     const auto name = gauge_name(static_cast<GaugeId>(i));
-    EXPECT_NE(j.find("\"" + std::string(name) + "\""), std::string::npos)
-        << name;
+    EXPECT_NE(j.find(json_key(name)), std::string::npos) << name;
   }
 }
 

@@ -141,5 +141,37 @@ TEST(Shape, PerLevelFillWithinSplitMergeBand) {
   }
 }
 
+TEST(Shape, BulkLoadHonorsPChunk) {
+  // A bulk load raises each chunk's first key with probability p_chunk, as a
+  // split would: p_chunk = 0 builds one flat level, p_chunk = 1 raises
+  // exactly one key per chunk.
+  std::vector<std::pair<Key, Value>> pairs;
+  for (Key k = 1; k <= 20'000; ++k) pairs.emplace_back(k, k);
+  const auto load = [&](double p_chunk) {
+    device::DeviceMemory mem;
+    GfslConfig cfg;
+    cfg.team_size = 32;
+    cfg.pool_chunks = 1u << 15;
+    cfg.p_chunk = p_chunk;
+    Gfsl sl(cfg, &mem);
+    sl.bulk_load(pairs);
+    EXPECT_TRUE(sl.validate().ok) << "p_chunk " << p_chunk;
+    std::vector<std::uint64_t> keys;
+    for (const auto& ls : measure_shape(sl).levels) {
+      if (ls.keys > 0) keys.push_back(ls.keys);
+    }
+    return keys;
+  };
+  // Chunks filled to 22 of 30 slots: 910 bottom chunks, 42 above, then 2.
+  EXPECT_EQ(load(1.0), (std::vector<std::uint64_t>{20'000, 910, 42, 2}));
+  EXPECT_EQ(load(0.0), (std::vector<std::uint64_t>{20'000}));
+  // The raise draw is a function of the key, so a rebuild is reproducible.
+  const auto half = load(0.5);
+  EXPECT_EQ(half, load(0.5));
+  ASSERT_GE(half.size(), 2u);
+  EXPECT_GT(half[1], 910u * 35 / 100);
+  EXPECT_LT(half[1], 910u * 65 / 100);
+}
+
 }  // namespace
 }  // namespace gfsl::core

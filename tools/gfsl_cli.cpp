@@ -73,16 +73,6 @@ using namespace gfsl::harness;
 
 namespace {
 
-Mix parse_mix(const std::string& s) {
-  Mix m{};
-  if (std::sscanf(s.c_str(), "%d,%d,%d", &m.insert_pct, &m.delete_pct,
-                  &m.contains_pct) != 3 ||
-      m.insert_pct + m.delete_pct + m.contains_pct != 100) {
-    throw std::invalid_argument("--mix must be i,d,c summing to 100");
-  }
-  return m;
-}
-
 Prefill parse_prefill(const std::string& s, const Mix& mix) {
   if (s == "empty") return Prefill::Empty;
   if (s == "half") return Prefill::HalfRange;

@@ -34,16 +34,6 @@ int usage() {
   return 2;
 }
 
-Mix parse_mix(const std::string& s) {
-  Mix m{};
-  if (std::sscanf(s.c_str(), "%d,%d,%d", &m.insert_pct, &m.delete_pct,
-                  &m.contains_pct) != 3 ||
-      m.insert_pct + m.delete_pct + m.contains_pct != 100) {
-    throw std::invalid_argument("--mix must be i,d,c summing to 100");
-  }
-  return m;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
